@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"ribbon/internal/cloud"
 	"ribbon/internal/dispatch"
@@ -315,7 +316,18 @@ func TestGatewayApplyConfigDrainsRetired(t *testing.T) {
 		}
 	}()
 	configs := []serving.Config{{1, 0, 0}, {2, 3, 1}, {0, 1, 4}, {3, 3, 3}}
+	var accepted uint64
 	for _, cfg := range configs {
+		// Reconfigure only under observed load: without this the four
+		// reshapes can all finish before the flood goroutine first runs.
+		deadline := time.Now().Add(10 * time.Second)
+		for g.Metrics().Accepted == accepted {
+			if time.Now().After(deadline) {
+				t.Fatalf("no request admitted within 10s before applying %v", cfg)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		accepted = g.Metrics().Accepted
 		g.applyConfig(cfg)
 		if got := g.Config(); got.Key() != cfg.Key() {
 			t.Fatalf("deployed %v, want %v", got, cfg)

@@ -80,16 +80,24 @@ func ServiceMs(m models.Profile, inst cloud.InstanceType, batch int) float64 {
 }
 
 // NoiseSigma is the scale of the multiplicative log-normal service-time
-// noise used by NoisyServiceMs. Real inference latency jitters with kernel
+// noise drawn by Noise. Real inference latency jitters with kernel
 // scheduling, cache state, and co-location; 6% keeps per-query variation
 // realistic without washing out the tail structure the batch distribution
 // creates.
 const NoiseSigma = 0.06
 
-// NoisyServiceMs returns ServiceMs perturbed by multiplicative log-normal
-// noise drawn from r.
+// Noise draws one multiplicative service-time noise factor from r: log-normal
+// with mean 1 and log-scale NoiseSigma. A noisy service time is exactly
+// ServiceMs(...) * Noise(r); NoisyServiceMs and the simulator's precomputed
+// service-time table both form it that way.
+func Noise(r *stats.RNG) float64 {
+	return r.LogNormal(-NoiseSigma*NoiseSigma/2, NoiseSigma)
+}
+
+// NoisyServiceMs returns ServiceMs perturbed by multiplicative noise drawn
+// from r (see Noise).
 func NoisyServiceMs(m models.Profile, inst cloud.InstanceType, batch int, r *stats.RNG) float64 {
-	return ServiceMs(m, inst, batch) * r.LogNormal(-NoiseSigma*NoiseSigma/2, NoiseSigma)
+	return ServiceMs(m, inst, batch) * Noise(r)
 }
 
 // ThroughputQPS returns the steady-state single-instance throughput

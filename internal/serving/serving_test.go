@@ -1,7 +1,9 @@
 package serving
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -219,6 +221,24 @@ func TestTraceEvaluatorRejectsEmpty(t *testing.T) {
 		}
 	}()
 	NewTraceEvaluator(mtwndSpec(t), SimOptions{}, &workload.Stream{})
+}
+
+// A batch below 1 has no service time; the trace is rejected up front rather
+// than read as a zero latency from the service table.
+func TestTraceEvaluatorRejectsBadBatch(t *testing.T) {
+	m := models.MustLookup("MT-WND")
+	for _, batch := range []int{0, -3} {
+		st := workload.Generate(m, workload.Options{Queries: 50, Seed: 1})
+		st.Queries[17].Batch = batch
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "batch") {
+					t.Fatalf("trace query with batch %d: got panic %v, want a batch rejection", batch, r)
+				}
+			}()
+			NewTraceEvaluator(mtwndSpec(t), SimOptions{}, st)
+		}()
+	}
 }
 
 func TestWarmupExclusion(t *testing.T) {

@@ -182,11 +182,16 @@ type SimEvaluator struct {
 	// guarantees. It reproduces the event-heap ordering of the old
 	// schedule-everything-up-front simulator for unsorted traces.
 	order []int32
-	// scratch pools per-evaluation buffers (latencies, shed flags, sort
-	// scratch, deployed types, dispatch state, completion heap). Evaluate
-	// runs hundreds of times per search — and concurrently under batched
-	// parallel search — so the arena is a sync.Pool rather than plain
-	// fields.
+	// service[t][b] is perf.ServiceMs of pool type t at batch size b, for
+	// b up to the stream's largest batch. The noise-free latency depends
+	// only on (type, batch), so Evaluate reads it here instead of
+	// recomputing it for every query of every run.
+	service [][]float64
+	// scratch pools per-evaluation buffers (latencies, shed flags,
+	// deployed types and their service rows, dispatch state, completion
+	// heap). Evaluate runs hundreds of times per search — and concurrently
+	// under batched parallel search — so the arena is a sync.Pool rather
+	// than plain fields.
 	scratch sync.Pool
 }
 
@@ -194,10 +199,11 @@ type SimEvaluator struct {
 type evalScratch struct {
 	latencies []float64
 	shed      []bool
-	sorted    []float64
 	types     []cloud.InstanceType
-	state     *dispatch.State
-	heap      sim.CompletionHeap
+	// rows[i] is the service-table row of deployed instance i's type.
+	rows  [][]float64
+	state *dispatch.State
+	heap  sim.CompletionHeap
 }
 
 // arrivalOrder returns the stable arrival-time ordering of the queries, or
@@ -223,6 +229,33 @@ func arrivalOrder(qs []workload.Query) []int32 {
 	return ord
 }
 
+// serviceTable returns the [pool type][batch] table of noise-free service
+// times for batch sizes up to the largest in qs. It panics on a batch
+// below 1, which has no service time.
+func serviceTable(spec PoolSpec, qs []workload.Query) [][]float64 {
+	maxBatch := 0
+	for i, q := range qs {
+		if q.Batch < 1 {
+			panic(fmt.Sprintf("serving: query %d has batch %d; batches must be >= 1", i, q.Batch))
+		}
+		maxBatch = max(maxBatch, q.Batch)
+	}
+	table := make([][]float64, len(spec.Types))
+	for t, typ := range spec.Types {
+		table[t] = make([]float64, maxBatch+1)
+		for b := 1; b <= maxBatch; b++ {
+			table[t][b] = perf.ServiceMs(spec.Model, typ, b)
+		}
+	}
+	return table
+}
+
+func newSimEvaluator(spec PoolSpec, opts SimOptions, st *workload.Stream) *SimEvaluator {
+	return &SimEvaluator{spec: spec, opts: opts, stream: st,
+		hasClasses: st.HasClasses(), order: arrivalOrder(st.Queries),
+		service: serviceTable(spec, st.Queries)}
+}
+
 // NewSimEvaluator builds an evaluator for the pool with the given options.
 func NewSimEvaluator(spec PoolSpec, opts SimOptions) *SimEvaluator {
 	opts = opts.withDefaults()
@@ -233,19 +266,19 @@ func NewSimEvaluator(spec PoolSpec, opts SimOptions) *SimEvaluator {
 		Batch:     opts.Batch,
 		Mix:       opts.Mix,
 	})
-	return &SimEvaluator{spec: spec, opts: opts, stream: st,
-		hasClasses: st.HasClasses(), order: arrivalOrder(st.Queries)}
+	return newSimEvaluator(spec, opts, st)
 }
 
 // NewTraceEvaluator builds an evaluator that replays a fixed query stream
 // instead of generating one; used by trace-driven experiments and tools.
+// It panics on an empty trace and on a query with a batch below 1. Its
+// service-time table grows with the trace's largest batch.
 func NewTraceEvaluator(spec PoolSpec, opts SimOptions, stream *workload.Stream) *SimEvaluator {
 	opts = opts.withDefaults()
 	if len(stream.Queries) == 0 {
 		panic("serving: empty trace")
 	}
-	return &SimEvaluator{spec: spec, opts: opts, stream: stream,
-		hasClasses: stream.HasClasses(), order: arrivalOrder(stream.Queries)}
+	return newSimEvaluator(spec, opts, stream)
 }
 
 // Spec returns the pool spec.
@@ -295,6 +328,7 @@ func (e *SimEvaluator) getScratch(n int) *evalScratch {
 		sc.shed[i] = false
 	}
 	sc.types = sc.types[:0]
+	sc.rows = sc.rows[:0]
 	sc.heap.Reset()
 	return sc
 }
@@ -338,9 +372,10 @@ func (e *SimEvaluator) Evaluate(cfg Config) Result {
 	for i, t := range spec.Types {
 		for k := 0; k < cfg[i]; k++ {
 			sc.types = append(sc.types, t)
+			sc.rows = append(sc.rows, e.service[i])
 		}
 	}
-	types := sc.types
+	types, rows := sc.types, sc.rows
 
 	// The noise stream is keyed by the deployed (family, count) multiset,
 	// not the raw config vector, so a configuration evaluates identically
@@ -388,7 +423,9 @@ func (e *SimEvaluator) Evaluate(cfg Config) Result {
 
 	assign := func(inst, idx int) {
 		pool.SetBusy(inst, true)
-		svc := perf.NoisyServiceMs(spec.Model, types[inst], queries[idx].Batch, noise)
+		// Exactly perf.NoisyServiceMs: the tabled ServiceMs times one noise
+		// draw.
+		svc := rows[inst][queries[idx].Batch] * perf.Noise(noise)
 		if plan != nil {
 			if f := plan.slowFactor[inst]; f != 0 && now >= plan.slowFrom[inst] && now < plan.slowTo[inst] {
 				svc *= f
@@ -558,13 +595,6 @@ func (e *SimEvaluator) Evaluate(cfg Config) Result {
 	res.Rsat = stats.FractionBelow(measured, spec.Model.QoSLatencyMs)
 	res.MeetsQoS = res.Rsat >= spec.QoSPercentile
 	res.MeanLatencyMs = stats.MeanOf(measured)
-	if cap(sc.sorted) < len(measured) {
-		sc.sorted = make([]float64, len(measured))
-	}
-	sorted := sc.sorted[:len(measured)]
-	copy(sorted, measured)
-	sort.Float64s(sorted)
-	res.TailLatencyMs = stats.PercentileSorted(sorted, spec.QoSPercentile)
 	res.MaxQueueLen = maxQueue
 	for i := warm; i < len(latencies); i++ {
 		if shed[i] {
@@ -584,6 +614,8 @@ func (e *SimEvaluator) Evaluate(cfg Config) Result {
 	if e.hasClasses {
 		res.Classes = classStats(queries[warm:], measured, shed[warm:], spec.Model.QoSLatencyMs)
 	}
+	// Last: the selection reorders the measured latencies in place.
+	res.TailLatencyMs = stats.PercentileInPlace(measured, spec.QoSPercentile)
 	return res
 }
 

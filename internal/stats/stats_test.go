@@ -239,11 +239,23 @@ func TestPercentileEmptyAndClamp(t *testing.T) {
 	}
 }
 
-func TestPercentileSortedMatchesPercentile(t *testing.T) {
+// nearestRankIndex is the reference the selection kernel must match: the
+// index of the nearest-rank p-quantile in a fully sorted copy of n values.
+func nearestRankIndex(n int, p float64) int {
+	rank := int(math.Ceil(p * float64(n)))
+	if rank < 1 {
+		rank = 1
+	}
+	if rank > n {
+		rank = n
+	}
+	return rank - 1
+}
+
+func sameValue(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+
+func TestPercentileMatchesSortReference(t *testing.T) {
 	f := func(raw []float64, pRaw float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
 		xs := make([]float64, 0, len(raw))
 		for _, x := range raw {
 			if !math.IsNaN(x) && !math.IsInf(x, 0) {
@@ -254,13 +266,99 @@ func TestPercentileSortedMatchesPercentile(t *testing.T) {
 			return true
 		}
 		p := math.Mod(math.Abs(pRaw), 1)
-		a := Percentile(xs, p)
+		got := Percentile(xs, p)
 		sort.Float64s(xs)
-		b := PercentileSorted(xs, p)
-		return a == b
+		return got == xs[nearestRankIndex(len(xs), p)]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSelectRankMatchesSort checks the selection kernel against a full sort
+// at the percentiles the simulator and the tools read. Random inputs have
+// lengths 1-5000, heavy ties, +Inf entries (the latencies of shed queries)
+// and a few NaNs; structured inputs are the classic quickselect worst
+// cases. Every input also runs with a budget of zero unproductive rounds,
+// which drives the sort fallback, and must come back a permutation of
+// itself.
+func TestSelectRankMatchesSort(t *testing.T) {
+	ps := []float64{0, 0.5, 0.9, 0.99, 1}
+	check := func(name string, xs []float64) {
+		t.Helper()
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		for _, p := range ps {
+			k := nearestRankIndex(len(xs), p)
+			want := sorted[k]
+			if got := Percentile(xs, p); !sameValue(got, want) {
+				t.Fatalf("%s n=%d p=%g: Percentile = %g, want %g", name, len(xs), p, got, want)
+			}
+			inPlace := append([]float64(nil), xs...)
+			forced := append([]float64(nil), xs...)
+			for _, c := range []struct {
+				how string
+				got float64
+				xs  []float64
+			}{
+				{"PercentileInPlace", PercentileInPlace(inPlace, p), inPlace},
+				{"selectRank with budget 0", selectRank(forced, k, 0), forced},
+			} {
+				if !sameValue(c.got, want) {
+					t.Fatalf("%s n=%d p=%g: %s = %g, want %g", name, len(xs), p, c.how, c.got, want)
+				}
+				sort.Float64s(c.xs)
+				for i := range c.xs {
+					if !sameValue(c.xs[i], sorted[i]) {
+						t.Fatalf("%s n=%d p=%g: %s did not permute its input", name, len(xs), p, c.how)
+					}
+				}
+			}
+		}
+	}
+
+	r := NewRNG(13, 17)
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.IntN(5000)
+		distinct := 1 + r.IntN(n)
+		infShare := r.Float64() * 0.3
+		xs := make([]float64, n)
+		for i := range xs {
+			switch u := r.Float64(); {
+			case u < infShare:
+				xs[i] = math.Inf(1)
+			case u < infShare+0.001:
+				xs[i] = math.NaN()
+			default:
+				xs[i] = float64(r.IntN(distinct)) * 0.25
+			}
+		}
+		check("random", xs)
+	}
+
+	for _, n := range []int{1, 2, 16, 17, 100, 1000, 4096, 5000} {
+		asc := make([]float64, n)
+		desc := make([]float64, n)
+		equal := make([]float64, n)
+		inf := make([]float64, n)
+		for i := range asc {
+			asc[i] = float64(i)
+			desc[i] = float64(n - i)
+			equal[i] = 7
+			inf[i] = math.Inf(1)
+		}
+		check("sorted", asc)
+		check("reverse", desc)
+		check("equal", equal)
+		check("all-inf", inf)
+		if n >= 3 {
+			// The three smallest values sit where the first pivot is
+			// sampled, so the first round keeps all but two elements.
+			killer := append([]float64(nil), asc...)
+			killer[n/2], killer[1] = killer[1], killer[n/2]
+			killer[n-1], killer[2] = killer[2], killer[n-1]
+			check("killer", killer)
+		}
 	}
 }
 
