@@ -197,47 +197,16 @@ type OptimizeRequest struct {
 	Budget int `json:"budget,omitempty"`
 	// Parallelism is the number of configurations the search may evaluate
 	// concurrently; omitted or 1 means the single-threaded loop. Parallel
-	// evaluation only prefetches: the search result is bit-identical to the
-	// serial one at any setting — only wall-clock time changes. Capped at
-	// MaxParallelism.
+	// evaluation only prefetches, picking what to prefetch from the
+	// measured per-evaluation cost: the search result is bit-identical to
+	// the single-threaded search at any setting — only wall-clock time
+	// changes. Capped at MaxParallelism.
 	Parallelism int `json:"parallelism,omitempty"`
-	// SearchMode pins the parallel execution strategy: one of
-	// SearchModeAuto ("" or "auto"), SearchModeSerial, SearchModeBatched,
-	// or SearchModeSpeculative. Omitted means auto, which measures the
-	// per-evaluation cost online and picks batched or speculative
-	// prefetching accordingly. Every mode except "serial" returns the same
-	// canonical result.
-	SearchMode string `json:"search_mode,omitempty"`
 }
 
 // MaxParallelism bounds OptimizeRequest.Parallelism: beyond this the
 // speculative evaluations only burn CPU without plausible wall-clock gain.
 const MaxParallelism = 64
-
-// The accepted OptimizeRequest.SearchMode / FleetSpec.SearchMode values.
-const (
-	// SearchModeAuto adapts between batched and speculative prefetching
-	// from the measured per-evaluation cost; "" means the same.
-	SearchModeAuto = "auto"
-	// SearchModeSerial pins the classic strictly serial search loop (the
-	// perf-baseline algorithm; ignores Parallelism).
-	SearchModeSerial = "serial"
-	// SearchModeBatched pins q-EI batch prefetching (best for cheap,
-	// simulator-like evaluators).
-	SearchModeBatched = "batched"
-	// SearchModeSpeculative pins constant-liar chain prefetching (best for
-	// slow, deploy-like evaluators).
-	SearchModeSpeculative = "speculative"
-)
-
-// ValidSearchMode reports whether s is an accepted search_mode value.
-func ValidSearchMode(s string) bool {
-	switch s {
-	case "", SearchModeAuto, SearchModeSerial, SearchModeBatched, SearchModeSpeculative:
-		return true
-	}
-	return false
-}
 
 // OptimizeResponse summarizes a completed (or cancelled) search. The
 // best_* and saving fields are present only when Found is true.
@@ -660,9 +629,6 @@ type FleetSpec struct {
 	// semantics and MaxParallelism cap as OptimizeRequest.Parallelism:
 	// results are bit-identical at any setting.
 	Parallelism int `json:"parallelism,omitempty"`
-	// SearchMode pins the per-search execution strategy, with the same
-	// accepted values and semantics as OptimizeRequest.SearchMode.
-	SearchMode string `json:"search_mode,omitempty"`
 }
 
 // FleetAllocation is the solver's decision for one model.

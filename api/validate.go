@@ -23,6 +23,12 @@ func (s ServiceSpec) Validate() *Error {
 	if s.RateScale < 0 {
 		return &Error{Code: ErrInvalidRequest, Message: "rate_scale must be non-negative"}
 	}
+	// An empty list would mean "no pool", but omitempty marshals it away
+	// as "the Table 3 pool"; the pool constructor rejects it anyway.
+	if s.Families != nil && len(s.Families) == 0 {
+		return &Error{Code: ErrInvalidRequest,
+			Message: "families must list at least one family (omit it for the model's Table 3 pool)"}
+	}
 	seen := map[string]bool{}
 	for _, f := range s.Families {
 		if strings.TrimSpace(f) == "" {
@@ -231,10 +237,6 @@ func (s FleetSpec) Validate() *Error {
 		return &Error{Code: ErrInvalidRequest,
 			Message: fmt.Sprintf("parallelism %d out of [0, %d]", s.Parallelism, MaxParallelism)}
 	}
-	if !ValidSearchMode(s.SearchMode) {
-		return &Error{Code: ErrInvalidRequest,
-			Message: fmt.Sprintf("search_mode %q not one of auto, serial, batched, speculative", s.SearchMode)}
-	}
 	names := map[string]bool{}
 	floors := 0.0
 	for i, m := range s.Models {
@@ -285,10 +287,6 @@ func (r OptimizeRequest) Validate() *Error {
 	if r.Parallelism < 0 || r.Parallelism > MaxParallelism {
 		return &Error{Code: ErrInvalidRequest,
 			Message: fmt.Sprintf("parallelism %d out of [0, %d]", r.Parallelism, MaxParallelism)}
-	}
-	if !ValidSearchMode(r.SearchMode) {
-		return &Error{Code: ErrInvalidRequest,
-			Message: fmt.Sprintf("search_mode %q not one of auto, serial, batched, speculative", r.SearchMode)}
 	}
 	return nil
 }

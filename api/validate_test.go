@@ -22,6 +22,7 @@ func TestServiceSpecValidate(t *testing.T) {
 		{"negative queries", ServiceSpec{Model: "m", Queries: -1}, ErrInvalidRequest},
 		{"negative rate", ServiceSpec{Model: "m", RateScale: -1}, ErrInvalidRequest},
 		{"empty family", ServiceSpec{Model: "m", Families: []string{""}}, ErrInvalidRequest},
+		{"empty families list", ServiceSpec{Model: "m", Families: []string{}}, ErrInvalidRequest},
 		{"dup family", ServiceSpec{Model: "m", Families: []string{"g4dn", "g4dn"}}, ErrInvalidRequest},
 		{"dispatch default", ServiceSpec{Model: "m", Dispatch: &DispatchSpec{}}, ""},
 		{"dispatch criticality", ServiceSpec{Model: "m",
@@ -79,15 +80,6 @@ func TestOptimizeRequestValidate(t *testing.T) {
 		if err == nil || err.Code != ErrInvalidRequest {
 			t.Fatalf("parallelism %d: %v", p, err)
 		}
-	}
-	for _, m := range []string{"", SearchModeAuto, SearchModeSerial, SearchModeBatched, SearchModeSpeculative} {
-		if err := (OptimizeRequest{ServiceSpec: ServiceSpec{Model: "MT-WND"}, SearchMode: m}).Validate(); err != nil {
-			t.Fatalf("search_mode %q must be valid: %v", m, err)
-		}
-	}
-	err = (OptimizeRequest{ServiceSpec: ServiceSpec{Model: "MT-WND"}, SearchMode: "warp"}).Validate()
-	if err == nil || err.Code != ErrInvalidRequest {
-		t.Fatalf("bogus search_mode: %v", err)
 	}
 }
 
@@ -183,8 +175,6 @@ func TestFleetSpecValidate(t *testing.T) {
 		{"negative search budget", mut(func(s *FleetSpec) { s.SearchBudget = -1 }), ErrInvalidBudget},
 		{"negative refine budget", mut(func(s *FleetSpec) { s.RefineBudget = -1 }), ErrInvalidBudget},
 		{"bad parallelism", mut(func(s *FleetSpec) { s.Parallelism = MaxParallelism + 1 }), ErrInvalidRequest},
-		{"batched search mode", mut(func(s *FleetSpec) { s.SearchMode = SearchModeBatched }), ""},
-		{"bad search mode", mut(func(s *FleetSpec) { s.SearchMode = "warp" }), ErrInvalidRequest},
 		{"bad service spec", mut(func(s *FleetSpec) { s.Models[0].Model = "" }), ErrInvalidRequest},
 		{"duplicate default names", mut(func(s *FleetSpec) { s.Models[1].Name = "" }), ErrInvalidRequest},
 		{"negative weight", mut(func(s *FleetSpec) { s.Models[0].Weight = -1 }), ErrInvalidRequest},

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"ribbon/internal/experiments"
@@ -32,5 +34,42 @@ func TestRunFig7Fast(t *testing.T) {
 	}
 	if len(tables[0].Rows) < 2 {
 		t.Fatalf("fig7 rows = %d", len(tables[0].Rows))
+	}
+}
+
+// The -perf-smoke verdict: it passes exactly at each floor, fails just
+// below either one, and fails when an entry it gates is missing.
+func TestPerfSmokeFloors(t *testing.T) {
+	report := func(deploy, sim float64) experiments.PerfReport {
+		return experiments.PerfReport{Entries: []experiments.PerfEntry{
+			{Name: "search/sim/parallelism=1"},
+			{Name: "search/sim/parallelism=4", SpeedupVsP1: sim},
+			{Name: "search/deploy25ms/parallelism=1"},
+			{Name: "search/deploy25ms/parallelism=4", SpeedupVsP1: deploy},
+		}}
+	}
+	below := func(f float64) float64 { return math.Nextafter(f, 0) }
+	drop := func(r experiments.PerfReport, name string) experiments.PerfReport {
+		r.Entries = slices.DeleteFunc(slices.Clone(r.Entries), func(e experiments.PerfEntry) bool { return e.Name == name })
+		return r
+	}
+	atFloors := report(perfSmokeDeployFloor, perfSmokeSimFloor)
+	cases := []struct {
+		name   string
+		report experiments.PerfReport
+		pass   bool
+	}{
+		{"at both floors", atFloors, true},
+		{"well above", report(2.3, 1.2), true},
+		{"deploy just below", report(below(perfSmokeDeployFloor), perfSmokeSimFloor), false},
+		{"sim just below", report(perfSmokeDeployFloor, below(perfSmokeSimFloor)), false},
+		{"deploy entry missing", drop(atFloors, "search/deploy25ms/parallelism=4"), false},
+		{"sim entry missing", drop(atFloors, "search/sim/parallelism=4"), false},
+		{"empty report", experiments.PerfReport{}, false},
+	}
+	for _, c := range cases {
+		if err := perfSmoke(c.report); (err == nil) != c.pass {
+			t.Errorf("%s: perfSmoke = %v, want pass=%v", c.name, err, c.pass)
+		}
 	}
 }

@@ -29,10 +29,10 @@
 //     full acquisition scan per proposal, so it only earns its keep when
 //     evaluations are expensive enough to hide that.
 //
-// With Options.Incremental set, the surrogate itself is maintained
-// incrementally: hyper-parameters are re-selected only at observation-count
-// boundaries, and between boundaries Observe extends the cached GP by rank-1
-// Cholesky updates instead of refitting from scratch.
+// The surrogate itself is maintained incrementally: hyper-parameters are
+// re-selected only at observation-count boundaries (see needRetune), and
+// between boundaries Observe extends the cached GP by rank-1 Cholesky
+// updates instead of refitting from scratch.
 package bo
 
 import (
@@ -65,14 +65,6 @@ type Options struct {
 	NoiseRatio float64
 	// Seed drives deterministic tie-breaking and random fallbacks.
 	Seed uint64
-	// Incremental amortizes hyper-parameter selection: the GP is re-tuned
-	// from scratch on every observation only while the training set is small
-	// (n <= 8), then only when it has grown ~1.5x since the last tune.
-	// Between boundaries Observe extends the cached factorization by O(n^2)
-	// rank-1 Cholesky updates (gp.Extend / gp.WithTargets) instead of paying
-	// the O(n^3)-per-candidate FitAuto search. The schedule depends only on
-	// the observation count, so the resulting trajectory is deterministic.
-	Incremental bool
 }
 
 // Per-cell candidate states.
@@ -120,7 +112,7 @@ type Optimizer struct {
 	surVersion int
 	surValid   bool
 
-	// Incremental-mode bookkeeping: tunedN is the observation count at the
+	// Re-tune bookkeeping: tunedN is the observation count at the
 	// last hyper-parameter re-tune and tuneCount how many re-tunes have
 	// run; surObs is the number of rows the cached surrogate is
 	// conditioned on, and surDirty records whether a target among those
@@ -307,9 +299,9 @@ func keyOf(x []int) string {
 
 // Surrogate fits the GP posterior to the current observations. It fails
 // with fewer than two observations. The fit is cached and invalidated by
-// Observe, so repeated calls between observations are free. With
-// Options.Incremental the refresh extends the previous posterior by rank-1
-// updates except at hyper-parameter re-tune boundaries (see needRetune).
+// Observe, so repeated calls between observations are free. The refresh
+// extends the previous posterior by rank-1 updates except at
+// hyper-parameter re-tune boundaries (see needRetune).
 func (o *Optimizer) Surrogate() (*gp.GP, error) {
 	if o.surValid && o.surVersion == o.version {
 		return o.surrogate, o.surErr
@@ -334,8 +326,11 @@ const retuneDenseTunes = 7
 // every new observation; after that the surrogate is re-tuned only once the
 // training set has grown by max(2, tunedN/2) rows (~1.5x) since the last
 // tune, so the total tuning work over a search of N evaluations is O(log N)
-// fits instead of N. The decision depends only on observation counts —
-// never on timing — keeping the trajectory deterministic.
+// fits instead of N. Between tunes Observe extends the cached factorization
+// by O(n^2) rank-1 updates (gp.Extend / gp.WithTargets) instead of paying
+// the O(n^3)-per-candidate FitAuto search. The decision depends only on
+// observation counts — never on timing — keeping the trajectory
+// deterministic.
 func (o *Optimizer) needRetune(n int) bool {
 	if o.tuneCount < retuneDenseTunes {
 		return n != o.tunedN
@@ -352,7 +347,7 @@ func (o *Optimizer) fitSurrogate() (*gp.GP, error) {
 	if n < 2 {
 		return nil, errors.New("bo: need at least two observations for a surrogate")
 	}
-	if o.opts.Incremental && !o.needRetune(n) {
+	if !o.needRetune(n) {
 		if g, err := o.extendSurrogate(n); err == nil {
 			return g, nil
 		}
@@ -437,20 +432,6 @@ func (o *Optimizer) Suggest() ([]int, bool) {
 		return nil, false
 	}
 	return o.decode(idx, make([]int, len(o.bounds))), true
-}
-
-// SuggestBatch proposes the next configuration plus up to k-1 speculative
-// follow-ups via the constant-liar rule (see Speculate). The first element
-// is exactly what Suggest would return. It is one of two batching paths:
-// SuggestTopK produces a whole batch from a single acquisition scan and is
-// preferred when evaluations are cheap, while the liar chain here predicts
-// the sequential trajectory more faithfully at one full scan per proposal.
-func (o *Optimizer) SuggestBatch(k int) ([][]int, bool) {
-	x, ok := o.Suggest()
-	if !ok {
-		return nil, false
-	}
-	return append([][]int{x}, o.Speculate(x, k-1, nil)...), true
 }
 
 // scanMinCells is the candidate-count threshold below which the EI argmax

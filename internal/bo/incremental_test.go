@@ -48,7 +48,7 @@ func boundsSpace(bounds []int) int {
 // observation (n = 2..8 in a from-scratch search), then only once the
 // training set has grown by max(2, tunedN/2).
 func TestRetuneSchedule(t *testing.T) {
-	o := New([]int{9, 9}, Options{Incremental: true})
+	o := New([]int{9, 9}, Options{})
 	var retunes []int
 	for n := 2; n <= 45; n++ {
 		if o.needRetune(n) {
@@ -67,7 +67,7 @@ func TestRetuneSchedule(t *testing.T) {
 // still gets its first seven tunes densely — the schedule counts tunes, not
 // absolute size — before amortizing.
 func TestRetuneScheduleWarmStart(t *testing.T) {
-	o := New([]int{9, 9}, Options{Incremental: true})
+	o := New([]int{9, 9}, Options{})
 	var retunes []int
 	for n := 12; n <= 40; n++ { // first surrogate fit happens at n=12
 		if o.needRetune(n) {
@@ -87,7 +87,7 @@ func TestRetuneScheduleWarmStart(t *testing.T) {
 // equivalence contract the trajectory's determinism rests on.
 func TestIncrementalSurrogateMatchesFullFit(t *testing.T) {
 	bounds := []int{7, 7, 5}
-	o := New(bounds, Options{Rounding: true, Seed: 4, Incremental: true})
+	o := New(bounds, Options{Rounding: true, Seed: 4})
 	obj := func(x []int) float64 {
 		return -float64((x[0]-4)*(x[0]-4)+(x[1]-2)*(x[1]-2)) + 0.5*float64(x[2])
 	}
@@ -119,7 +119,7 @@ func TestIncrementalSurrogateMatchesFullFit(t *testing.T) {
 // through the WithTargets path and still match a full fit.
 func TestIncrementalReplacementMatchesFullFit(t *testing.T) {
 	bounds := []int{7, 7}
-	o := New(bounds, Options{Rounding: true, Seed: 5, Incremental: true})
+	o := New(bounds, Options{Rounding: true, Seed: 5})
 	cfgs := freshConfigs(bounds, 14)
 	for _, x := range cfgs {
 		o.Observe(x, quadObj(x))
@@ -156,7 +156,7 @@ func TestIncrementalReplacementMatchesFullFit(t *testing.T) {
 // suggestion trajectories — the schedule keys on counts, never on timing.
 func TestIncrementalTrajectoryDeterministic(t *testing.T) {
 	run := func() [][]int {
-		o := New([]int{5, 12}, Options{Rounding: true, Seed: 7, Incremental: true})
+		o := New([]int{5, 12}, Options{Rounding: true, Seed: 7})
 		for _, x := range [][]int{{0, 0}, {5, 12}, {2, 6}} {
 			o.Observe(x, quadObj(x))
 		}
@@ -183,7 +183,7 @@ func TestIncrementalTrajectoryDeterministic(t *testing.T) {
 // FitAuto refresh (~thousands of allocs).
 func TestObserveIncrementalAllocs(t *testing.T) {
 	bounds := []int{9, 9, 9}
-	o := New(bounds, Options{Rounding: true, Seed: 6, Incremental: true})
+	o := New(bounds, Options{Rounding: true, Seed: 6})
 	obj := func(x []int) float64 {
 		return -float64((x[0]-5)*(x[0]-5)+(x[1]-3)*(x[1]-3)+(x[2]-7)*(x[2]-7)) * 0.1
 	}

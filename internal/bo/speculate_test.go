@@ -91,17 +91,6 @@ func TestSpeculateWithoutSurrogateIsInert(t *testing.T) {
 	}
 }
 
-// SuggestBatch's head is exactly the serial suggestion.
-func TestSuggestBatchHeadMatchesSuggest(t *testing.T) {
-	a := seeded(t, 12)
-	b := seeded(t, 12)
-	want, _ := a.Suggest()
-	batch, ok := b.SuggestBatch(4)
-	if !ok || !reflect.DeepEqual(batch[0], want) {
-		t.Fatalf("SuggestBatch head %v, Suggest %v", batch, want)
-	}
-}
-
 // Emit must stream the same candidates the call returns, in order.
 func TestSpeculateEmitStreams(t *testing.T) {
 	o := seeded(t, 21)

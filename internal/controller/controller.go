@@ -34,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"ribbon/internal/chaos"
@@ -534,6 +535,28 @@ func (c *Controller) initialize(ctx context.Context) error {
 // status; on context cancellation the partial status accumulated so far is
 // returned with the context's error. Run may be called once per Controller.
 func (c *Controller) Run(ctx context.Context, stream *workload.Stream) (Status, error) {
+	var feedErr error
+	if stream == nil || len(stream.Queries) == 0 {
+		feedErr = errors.New("controller: empty stream")
+	}
+	i := 0
+	next := func() (float64, bool, error) {
+		if i == len(stream.Queries) {
+			return 0, false, nil
+		}
+		i++
+		return stream.Queries[i-1].ArrivalMs, true, nil
+	}
+	return c.drive(ctx, feedErr, next, nil)
+}
+
+// drive is the one control loop behind Run and RunLive. next yields arrival
+// timestamps until ok is false (end of feed) or it fails; feedErr rejects a
+// feed that cannot be driven, after the once-per-Controller guard. A tick
+// observes only arrivals at or before its boundary, and every decision is
+// passed to onDecision (when non-nil) before the next arrival is consumed.
+func (c *Controller) drive(ctx context.Context, feedErr error, next func() (t float64, ok bool, err error),
+	onDecision func(Reconfiguration)) (Status, error) {
 	c.mu.Lock()
 	if c.ran {
 		c.mu.Unlock()
@@ -542,40 +565,58 @@ func (c *Controller) Run(ctx context.Context, stream *workload.Stream) (Status, 
 	c.ran = true
 	c.mu.Unlock()
 
-	if stream == nil || len(stream.Queries) == 0 {
-		return c.Snapshot(), errors.New("controller: empty stream")
+	if feedErr != nil {
+		return c.Snapshot(), feedErr
 	}
 	if err := c.initialize(ctx); err != nil {
 		return c.Snapshot(), err
 	}
 
+	decide := func(nowMs float64) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		rec, err := c.tick(ctx, nowMs)
+		if err == nil && rec != nil && onDecision != nil {
+			onDecision(*rec)
+		}
+		return err
+	}
 	tick := c.cfg.Params.TickMs
 	nextTick := tick
-	for _, q := range stream.Queries {
-		// A tick observes only arrivals at or before its boundary.
-		for nextTick <= q.ArrivalMs {
-			if err := ctx.Err(); err != nil {
-				return c.Snapshot(), err
-			}
-			if _, err := c.tick(ctx, nextTick); err != nil {
+	// Clamping from -Inf leaves every non-decreasing feed untouched, negative
+	// timestamps included, so Run replays a validated stream exactly.
+	last, seen := math.Inf(-1), false
+	for {
+		t, ok, err := next()
+		if err != nil {
+			return c.Snapshot(), err
+		}
+		if !ok {
+			break
+		}
+		if t < last {
+			t = last // clamp stragglers; the estimator needs monotone time
+		}
+		for nextTick <= t {
+			if err := decide(nextTick); err != nil {
 				return c.Snapshot(), err
 			}
 			nextTick += tick
 		}
 		c.mu.Lock()
-		c.est.Observe(q.ArrivalMs)
+		c.est.Observe(t)
 		c.stat.Arrivals++
-		c.stat.NowMs = q.ArrivalMs
+		c.stat.NowMs = t
 		c.mu.Unlock()
+		last, seen = t, true
 	}
-	// One closing tick at the end of the stream, so a shift during the
-	// final partial window still registers in the status.
-	last := stream.Queries[len(stream.Queries)-1].ArrivalMs
-	if err := ctx.Err(); err != nil {
-		return c.Snapshot(), err
-	}
-	if _, err := c.tick(ctx, last); err != nil {
-		return c.Snapshot(), err
+	// One closing tick at the end of the feed, so a shift during the final
+	// partial window still registers in the status.
+	if seen {
+		if err := decide(last); err != nil {
+			return c.Snapshot(), err
+		}
 	}
 
 	c.mu.Lock()

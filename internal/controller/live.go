@@ -27,77 +27,17 @@ import (
 // context is cancelled (partial status, context error). Like Run, it may be
 // called once per Controller, and Snapshot remains safe to call concurrently.
 func (c *Controller) RunLive(ctx context.Context, arrivals <-chan float64, onDecision func(Reconfiguration)) (Status, error) {
-	c.mu.Lock()
-	if c.ran {
-		c.mu.Unlock()
-		return c.Snapshot(), errors.New("controller: Run already called")
-	}
-	c.ran = true
-	c.mu.Unlock()
-
+	var feedErr error
 	if arrivals == nil {
-		return c.Snapshot(), errors.New("controller: nil arrival feed")
+		feedErr = errors.New("controller: nil arrival feed")
 	}
-	if err := c.initialize(ctx); err != nil {
-		return c.Snapshot(), err
-	}
-
-	tick := c.cfg.Params.TickMs
-	nextTick := tick
-	last := 0.0
-	seen := false
-	for {
-		var t float64
+	next := func() (float64, bool, error) {
 		select {
 		case <-ctx.Done():
-			return c.Snapshot(), ctx.Err()
-		case v, ok := <-arrivals:
-			if !ok {
-				// Feed closed: one closing tick so a shift inside the
-				// final partial window still registers.
-				if seen {
-					if err := ctx.Err(); err != nil {
-						return c.Snapshot(), err
-					}
-					rec, err := c.tick(ctx, last)
-					if err != nil {
-						return c.Snapshot(), err
-					}
-					if rec != nil && onDecision != nil {
-						onDecision(*rec)
-					}
-				}
-				c.mu.Lock()
-				c.stat.State = StateDone
-				c.stat.PendingForMs = 0
-				out := c.snapshotLocked()
-				c.mu.Unlock()
-				return out, nil
-			}
-			t = v
+			return 0, false, ctx.Err()
+		case t, ok := <-arrivals:
+			return t, ok, nil
 		}
-		if t < last {
-			t = last // clamp stragglers; the estimator needs monotone time
-		}
-		for nextTick <= t {
-			if err := ctx.Err(); err != nil {
-				return c.Snapshot(), err
-			}
-			rec, err := c.tick(ctx, nextTick)
-			if err != nil {
-				return c.Snapshot(), err
-			}
-			if rec != nil && onDecision != nil {
-				onDecision(*rec)
-			}
-			nextTick += tick
-		}
-		c.mu.Lock()
-		c.est.Observe(t)
-		c.stat.Arrivals++
-		c.stat.NowMs = t
-		c.mu.Unlock()
-		last = t
-		seen = true
 	}
+	return c.drive(ctx, feedErr, next, onDecision)
 }

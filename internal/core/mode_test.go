@@ -9,62 +9,64 @@ import (
 	"ribbon/internal/serving"
 )
 
-// The mode/parallelism property: every non-serial mode commits the canonical
-// trajectory, so the full SearchResult — trace, objectives, accounting — is
-// byte-identical (%#v) across ModeAuto, ModeBatched, and ModeSpeculative at
-// any Parallelism, under any GOMAXPROCS. Runs under `go test -race` in CI, so
-// it also proves the mode-switching driver is race-free.
+// The prefetch property: the parallel search commits the canonical
+// trajectory whichever prefetch path the driver picks, so the full
+// SearchResult — trace, objectives, accounting — is byte-identical (%#v) to
+// the P=1 search at any Parallelism, under any GOMAXPROCS. It runs on the
+// simulator, on an instant evaluator that must keep the driver on the q-EI
+// batch, and on one well past the 8ms switch point that must move it to
+// the liar chain, so both prefetch paths are held to the contract. Runs
+// under `go test -race` in CI, so it also proves the driver is race-free.
 func TestModeTrajectoryProperty(t *testing.T) {
-	modes := []Mode{ModeAuto, ModeBatched, ModeSpeculative}
+	sim := func(seed uint64) serving.Evaluator { return parTestEval(seed, 1) }
+	instant := func(seed uint64) serving.Evaluator {
+		return serving.NewCachingEvaluator(instantInner{spec: parTestEval(seed, 1).Spec()})
+	}
+	slow := func(seed uint64) serving.Evaluator {
+		return serving.NewCachingEvaluator(slowInner{inner: parTestEval(seed, 1), d: 25 * time.Millisecond})
+	}
+	cases := []struct {
+		name   string
+		ev     func(uint64) serving.Evaluator
+		seeds  []uint64
+		budget int
+		// path is the prefetch every parallel run must take: "batch"
+		// forbids a liar-chain launch, "liar" requires one, and "" checks
+		// neither, since the simulator's cost under -race is unknown.
+		path string
+	}{
+		{"sim", sim, []uint64{1, 2, 3}, 18, ""},
+		{"instant", instant, []uint64{4}, 18, "batch"},
+		{"slow", slow, []uint64{6}, 10, "liar"},
+	}
 	for _, gmp := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(gmp)
-		for _, seed := range []uint64{1, 2, 3} {
-			ref := NewSearcher(parTestEval(seed, 1), []int{5, 8, 8}, seed, Options{}).Run(18)
-			refBytes := fmt.Sprintf("%#v", ref)
-			for _, p := range []int{1, 2, 4, 8} {
-				for _, m := range modes {
-					got := NewSearcher(parTestEval(seed, 1), []int{5, 8, 8}, seed,
-						Options{Parallelism: p, Mode: m}).Run(18)
+		for _, c := range cases {
+			for _, seed := range c.seeds {
+				ref := NewSearcher(c.ev(seed), []int{5, 8, 8}, seed, Options{}).Run(c.budget)
+				refBytes := fmt.Sprintf("%#v", ref)
+				for _, p := range []int{1, 2, 4, 8} {
+					s := NewSearcher(c.ev(seed), []int{5, 8, 8}, seed, Options{Parallelism: p})
+					got := s.Run(c.budget)
 					if gb := fmt.Sprintf("%#v", got); gb != refBytes {
-						t.Fatalf("gomaxprocs=%d seed=%d p=%d mode=%q: SearchResult diverged:\n got %s\nwant %s",
-							gmp, seed, p, m, gb, refBytes)
+						t.Fatalf("%s gomaxprocs=%d seed=%d p=%d: SearchResult diverged:\n got %s\nwant %s",
+							c.name, gmp, seed, p, gb, refBytes)
+					}
+					if p == 1 {
+						continue
+					}
+					if c.path == "liar" && s.liarLaunches == 0 {
+						t.Fatalf("%s gomaxprocs=%d p=%d: never ran the liar chain", c.name, gmp, p)
+					}
+					if c.path == "batch" && (s.liarLaunches != 0 || s.batchedLaunches == 0) {
+						t.Fatalf("%s gomaxprocs=%d p=%d: liar=%d batched=%d launches, want batched only",
+							c.name, gmp, p, s.liarLaunches, s.batchedLaunches)
 					}
 				}
 			}
 		}
 		runtime.GOMAXPROCS(prev)
 	}
-}
-
-// ModeSerial pins the legacy per-step-retune algorithm — the perf baseline —
-// and ignores Parallelism entirely: no driver, no prefetch, identical results
-// at any worker-count setting.
-func TestSerialModeIgnoresParallelism(t *testing.T) {
-	ref := NewSearcher(parTestEval(9, 1), []int{5, 8, 8}, 9,
-		Options{Mode: ModeSerial}).Run(16)
-	refBytes := fmt.Sprintf("%#v", ref)
-	for _, p := range []int{2, 4, 8} {
-		ev := parTestEval(9, 1)
-		s := NewSearcher(ev, []int{5, 8, 8}, 9, Options{Mode: ModeSerial, Parallelism: p})
-		got := s.Run(16)
-		if gb := fmt.Sprintf("%#v", got); gb != refBytes {
-			t.Fatalf("serial mode at parallelism %d diverged:\n got %s\nwant %s", p, gb, refBytes)
-		}
-		if s.batchedLaunches != 0 || s.liarLaunches != 0 {
-			t.Fatalf("serial mode launched prefetches (batched=%d liar=%d)",
-				s.batchedLaunches, s.liarLaunches)
-		}
-	}
-}
-
-// NewSearcher must reject modes outside the published set.
-func TestInvalidModePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("unknown mode accepted")
-		}
-	}()
-	NewSearcher(parTestEval(1, 1), []int{5, 8, 8}, 1, Options{Mode: Mode("warp")})
 }
 
 // instantInner is a closed-form evaluator: zero simulation work, so its
@@ -89,9 +91,8 @@ func (e instantInner) Evaluate(c serving.Config) serving.Result {
 }
 
 // Regression for the lookahead-depth bug: a cheap evaluator must never pay
-// the speculative liar chain's wall-clock. In auto mode an evaluator far
-// under the 8ms threshold has to stay on q-EI batched prefetch for the
-// entire search.
+// the speculative liar chain's wall-clock. An evaluator far under the 8ms
+// threshold has to stay on q-EI batched prefetch for the entire search.
 func TestAutoModeStaysBatchedOnCheapEvaluator(t *testing.T) {
 	ev := serving.NewCachingEvaluator(instantInner{spec: parTestEval(4, 1).Spec()})
 	s := NewSearcher(ev, []int{5, 8, 8}, 4, Options{Parallelism: 4})
@@ -101,19 +102,6 @@ func TestAutoModeStaysBatchedOnCheapEvaluator(t *testing.T) {
 	}
 	if s.batchedLaunches == 0 {
 		t.Fatalf("no batched prefetch launches recorded")
-	}
-}
-
-// Pinning ModeSpeculative forces the liar chain regardless of measured cost.
-func TestPinnedSpeculativeUsesLiarChain(t *testing.T) {
-	ev := parTestEval(4, 1)
-	s := NewSearcher(ev, []int{5, 8, 8}, 4, Options{Parallelism: 4, Mode: ModeSpeculative})
-	s.Run(18)
-	if s.liarLaunches == 0 {
-		t.Fatalf("pinned speculative mode never ran the liar chain")
-	}
-	if s.batchedLaunches != 0 {
-		t.Fatalf("pinned speculative mode recorded %d batched launches", s.batchedLaunches)
 	}
 }
 
@@ -130,8 +118,8 @@ func (s slowInner) Evaluate(c serving.Config) serving.Result {
 	return s.inner.Evaluate(c)
 }
 
-// Once measured evaluations are expensive, auto mode switches to the deeper
-// speculative liar chain.
+// Once measured evaluations are expensive, the driver switches to the
+// deeper speculative liar chain.
 func TestAutoModeSwitchesToSpeculativeOnExpensiveEvaluator(t *testing.T) {
 	base := parTestEval(6, 1)
 	ev := serving.NewCachingEvaluator(slowInner{inner: base, d: 25 * time.Millisecond})
@@ -142,28 +130,19 @@ func TestAutoModeSwitchesToSpeculativeOnExpensiveEvaluator(t *testing.T) {
 	}
 }
 
-// The adaptive threshold logic itself, isolated from timing: an unmeasured
-// or cheap cost resolves to batched, an expensive one to speculative, and a
-// pinned mode always wins.
+// The threshold logic itself, isolated from timing: an unmeasured or cheap
+// cost resolves to the q-EI batch, an expensive one to the liar chain.
 func TestPrefetchModeSelection(t *testing.T) {
 	d := &driver{}
-	if m := d.prefetchMode(Options{}); m != ModeBatched {
-		t.Fatalf("unmeasured auto mode = %q, want batched", m)
+	if d.useLiarChain() {
+		t.Fatalf("unmeasured cost picked the liar chain")
 	}
 	d.evalNs.Store(liarCostThresholdNs - 1)
-	if m := d.prefetchMode(Options{}); m != ModeBatched {
-		t.Fatalf("cheap auto mode = %q, want batched", m)
+	if d.useLiarChain() {
+		t.Fatalf("cheap cost picked the liar chain")
 	}
 	d.evalNs.Store(liarCostThresholdNs)
-	if m := d.prefetchMode(Options{}); m != ModeSpeculative {
-		t.Fatalf("expensive auto mode = %q, want speculative", m)
-	}
-	d.evalNs.Store(1)
-	if m := d.prefetchMode(Options{Mode: ModeSpeculative}); m != ModeSpeculative {
-		t.Fatalf("pinned speculative overridden to %q", m)
-	}
-	d.evalNs.Store(liarCostThresholdNs * 10)
-	if m := d.prefetchMode(Options{Mode: ModeBatched}); m != ModeBatched {
-		t.Fatalf("pinned batched overridden to %q", m)
+	if !d.useLiarChain() {
+		t.Fatalf("expensive cost kept the q-EI batch")
 	}
 }

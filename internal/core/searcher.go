@@ -72,47 +72,6 @@ type Strategy interface {
 	Search(ev serving.Evaluator, bounds []int, budget int, seed uint64) SearchResult
 }
 
-// Mode selects the parallel-search execution strategy. Every mode except
-// ModeSerial commits the same canonical trajectory — mode and parallelism
-// only change how the worker pool is kept busy, never which configurations
-// the search observes — so SearchResult is byte-identical across
-// ModeAuto/ModeBatched/ModeSpeculative at any Parallelism.
-type Mode string
-
-const (
-	// ModeAuto (the zero value) measures the evaluator's per-evaluation
-	// wall-clock online and picks ModeBatched prefetching while evaluations
-	// are cheap, switching to ModeSpeculative once they are expensive enough
-	// to hide the constant-liar chain's acquisition scans. The measurement
-	// influences only prefetch scheduling, so timing jitter cannot leak into
-	// the result.
-	ModeAuto Mode = ""
-	// ModeSerial pins the classic pre-batching algorithm: a strictly serial
-	// loop that re-selects GP hyper-parameters on every observation. It is
-	// the reference baseline the perf harness measures speedups against; its
-	// trajectory differs from the canonical one (it re-tunes more often) and
-	// it ignores Parallelism.
-	ModeSerial Mode = "serial"
-	// ModeBatched prefetches the batched q-EI runner-up candidates: the
-	// acquisition scan that picks the next configuration also ranks the
-	// follow-ups, so a whole batch costs one scan. Lookahead depth is
-	// Parallelism. Right when evaluations are cheap.
-	ModeBatched Mode = "batched"
-	// ModeSpeculative prefetches the constant-liar chain, which predicts the
-	// serial trajectory more faithfully at one acquisition scan per proposal.
-	// Lookahead depth is 2*Parallelism. Right when evaluations dominate.
-	ModeSpeculative Mode = "speculative"
-)
-
-// valid reports whether m is a recognized mode.
-func (m Mode) valid() bool {
-	switch m {
-	case ModeAuto, ModeSerial, ModeBatched, ModeSpeculative:
-		return true
-	}
-	return false
-}
-
 // Options tunes the Ribbon searcher.
 type Options struct {
 	// PruneThreshold is the QoS-violation margin beyond which dominance
@@ -140,16 +99,14 @@ type Options struct {
 	// 0 or 1 keeps the single-threaded loop. The parallel loop prefetches:
 	// the committed trajectory is always the canonical one, and
 	// SearchResult plus the exploration accounting are bit-identical at
-	// any setting. Extra workers warm the evaluator with the batch
-	// proposals Mode selects (q-EI runner-ups or the constant-liar chain)
-	// plus pending seed configurations; when a prediction hits, the next
-	// step commits without waiting. It takes effect when the evaluator
-	// supports prefetch (serving.CachingEvaluator does); see
+	// any setting. Extra workers warm the evaluator with pending seed
+	// configurations plus predicted proposals — the q-EI runner-ups while
+	// evaluations are cheap, the constant-liar chain once the measured
+	// per-evaluation cost makes it pay — and when a prediction hits, the
+	// next step commits without waiting. It takes effect when the
+	// evaluator supports prefetch (serving.CachingEvaluator does); see
 	// docs/performance.md.
 	Parallelism int
-	// Mode selects the execution strategy; see the Mode constants. The
-	// zero value is ModeAuto.
-	Mode Mode
 }
 
 // Searcher runs Ribbon's BO search over one pool. Create with NewSearcher,
@@ -196,9 +153,6 @@ func NewSearcher(ev serving.Evaluator, bounds []int, seed uint64, opts Options) 
 	if opts.PruneThreshold < 0 {
 		panic("core: negative prune threshold")
 	}
-	if !opts.Mode.valid() {
-		panic(fmt.Sprintf("core: unknown search mode %q", opts.Mode))
-	}
 	s := &Searcher{
 		name:   "RIBBON",
 		ev:     ev,
@@ -209,9 +163,6 @@ func NewSearcher(ev serving.Evaluator, bounds []int, seed uint64, opts Options) 
 			Rounding: !opts.DisableRounding,
 			Xi:       opts.Xi,
 			Seed:     seed,
-			// Every mode but the pinned legacy baseline shares the
-			// canonical amortized-retune trajectory.
-			Incremental: opts.Mode != ModeSerial,
 		}),
 		prune: &PruneSet{},
 	}
@@ -345,10 +296,9 @@ func (s *Searcher) Run(budget int) SearchResult {
 // distinguish "budget spent" from "cancelled" should inspect ctx.Err().
 //
 // With Options.Parallelism > 1 and a prefetch-capable evaluator, a bounded
-// worker pool warms the evaluator with the batch proposals the active Mode
-// selects while each step evaluates; observations still commit strictly in
-// trajectory order, so the result is bit-identical at any worker count and
-// in any non-serial mode.
+// worker pool warms the evaluator with predicted proposals while each step
+// evaluates; observations still commit strictly in trajectory order, so the
+// result is bit-identical at any worker count.
 func (s *Searcher) RunContext(ctx context.Context, budget int) SearchResult {
 	drv := s.startDriver()
 	if drv != nil {
@@ -358,11 +308,11 @@ func (s *Searcher) RunContext(ctx context.Context, budget int) SearchResult {
 		if ctx.Err() != nil {
 			break
 		}
-		pm := Mode("")
+		liar := false
 		s.wantTopK = 0
 		if drv != nil {
-			pm = drv.prefetchMode(s.opts)
-			if pm == ModeBatched {
+			liar = drv.useLiarChain()
+			if !liar {
 				s.wantTopK = 1 + s.opts.Parallelism
 			}
 		}
@@ -371,7 +321,7 @@ func (s *Searcher) RunContext(ctx context.Context, budget int) SearchResult {
 			break
 		}
 		if drv != nil {
-			drv.launch(s, cfg, budget, pm)
+			drv.launch(s, cfg, budget, liar)
 		}
 		s.evaluate(cfg)
 	}
@@ -395,23 +345,22 @@ type driver struct {
 	wg    sync.WaitGroup
 
 	// evalNs is an EWMA of measured prefetch wall-clock in nanoseconds,
-	// updated by the workers and read by the main loop's adaptive mode
+	// updated by the workers and read by the main loop's prefetch
 	// selection; 0 means "not yet measured".
 	evalNs atomic.Int64
 }
 
 // liarCostThresholdNs is the measured per-evaluation cost above which the
-// adaptive mode prefers the constant-liar chain: below it, evaluations are
+// driver prefers the constant-liar chain: below it, evaluations are
 // too cheap to hide the chain's one-acquisition-scan-per-proposal cost on
 // the main goroutine, and the single-scan q-EI batch wins.
 const liarCostThresholdNs = 8e6 // 8ms
 
 // startDriver builds the worker pool, or returns nil when the search is
-// serial — ModeSerial, or Parallelism <= 1 — or the evaluator cannot
-// prefetch.
+// single-threaded (Parallelism <= 1) or the evaluator cannot prefetch.
 func (s *Searcher) startDriver() *driver {
 	p := s.opts.Parallelism
-	if p <= 1 || s.opts.Mode == ModeSerial {
+	if p <= 1 {
 		return nil
 	}
 	lev, ok := s.ev.(lookaheadEvaluator)
@@ -461,20 +410,13 @@ func (d *driver) observeCost(dt time.Duration) {
 	}
 }
 
-// prefetchMode resolves the strategy for the next launch: a pinned
-// ModeBatched/ModeSpeculative wins; ModeAuto consults the measured
-// evaluation cost, preferring the cheap q-EI batch until evaluations are
-// expensive enough to pay for liar-chain speculation. The choice only
-// affects what the workers warm, never what the search commits.
-func (d *driver) prefetchMode(opts Options) Mode {
-	switch opts.Mode {
-	case ModeBatched, ModeSpeculative:
-		return opts.Mode
-	}
-	if c := d.evalNs.Load(); c >= liarCostThresholdNs {
-		return ModeSpeculative
-	}
-	return ModeBatched
+// useLiarChain picks the prefetch for the next launch from the measured
+// evaluation cost: the q-EI batch until evaluations are expensive enough to
+// pay for liar-chain speculation. The choice only affects what the workers
+// warm, never what the search commits, so timing jitter cannot leak into
+// the result.
+func (d *driver) useLiarChain() bool {
+	return d.evalNs.Load() >= liarCostThresholdNs
 }
 
 // stop abandons queued speculations and waits for the workers; in-flight
@@ -498,17 +440,16 @@ func (d *driver) enqueue(cfg serving.Config) {
 
 // launch dispatches the pending step's evaluation to the pool and fills the
 // remaining capacity with prefetch: first the still-queued seed
-// configurations (certain future evaluations), then the batch the active
-// prefetch mode proposes. In batched mode those are the q-EI runner-ups
-// next() already ranked — zero extra acquisition work, lookahead depth
-// Parallelism. In speculative mode the constant-liar chain streams
-// proposals element by element, at depth 2*Parallelism; the chain computes
-// on the main goroutine while the workers evaluate, which only pays off
-// when evaluations are slow. Prefetches queued by earlier steps but not yet
+// configurations (certain future evaluations), then predicted proposals.
+// Without liar those are the q-EI runner-ups next() already ranked — zero
+// extra acquisition work, lookahead depth Parallelism. With liar the
+// constant-liar chain streams proposals element by element, at depth
+// 2*Parallelism; the chain computes on the main goroutine while the workers
+// evaluate, which only pays off when evaluations are slow. Prefetches queued by earlier steps but not yet
 // picked up are dropped first — this step's batch is computed from
 // strictly more information — and depth never exceeds the evaluations the
 // budget can still spend.
-func (d *driver) launch(s *Searcher, cfg serving.Config, budget int, pm Mode) {
+func (d *driver) launch(s *Searcher, cfg serving.Config, budget int, liar bool) {
 	for {
 		select {
 		case <-d.tasks:
@@ -519,7 +460,7 @@ func (d *driver) launch(s *Searcher, cfg serving.Config, budget int, pm Mode) {
 	}
 	d.enqueue(cfg)
 	k := s.opts.Parallelism
-	if pm == ModeSpeculative {
+	if liar {
 		k = 2 * s.opts.Parallelism
 	}
 	if slots := budget - s.samples - 1; k > slots {
@@ -535,7 +476,7 @@ func (d *driver) launch(s *Searcher, cfg serving.Config, budget int, pm Mode) {
 		d.enqueue(c.Clone())
 		k--
 	}
-	if pm == ModeSpeculative {
+	if liar {
 		s.liarLaunches++
 		s.opt.Speculate(cfg, k, func(x []int) {
 			d.enqueue(serving.Config(append([]int(nil), x...)))

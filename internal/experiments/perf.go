@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -16,42 +17,45 @@ import (
 type PerfEntry struct {
 	// Name identifies the measurement (e.g. "evaluate", "search/deploy25ms/parallelism=4").
 	Name string `json:"name"`
-	// Mode records the search execution mode of a search entry: "serial"
-	// (the pinned legacy per-step-retune baseline), "auto", "batched", or
-	// "speculative".
-	Mode string `json:"mode,omitempty"`
-	// NsPerOp is the mean wall-clock nanoseconds per operation.
-	NsPerOp float64 `json:"ns_per_op"`
+	// MinNs, MedianNs and MaxNs spread the wall-clock nanoseconds per
+	// operation over the report's Runs repeats.
+	MinNs    float64 `json:"min_ns"`
+	MedianNs float64 `json:"median_ns"`
+	MaxNs    float64 `json:"max_ns"`
 	// AllocsPerOp is the mean heap allocations per operation, when
 	// measured.
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	// SpeedupVsSerial compares a parallel search against the pinned
-	// serial-mode baseline of the same regime in this report.
-	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
+	// SpeedupVsP1 is the parallelism=1 entry's MinNs over this entry's
+	// MinNs, within one regime. Both run the same search and commit the
+	// same SearchResult, so the ratio is the parallel gain alone.
+	SpeedupVsP1 float64 `json:"speedup_vs_p1,omitempty"`
 }
 
 // PerfReport is the machine-readable result of the perf experiment
-// (cmd/ribbon-bench writes it to the -perf-out file, BENCH_9.json by
+// (cmd/ribbon-bench writes it to the -perf-out file, BENCH_14.json by
 // default; the checked-in BENCH_*.json reports are the repository's perf
-// trajectory). Searches in every non-serial mode, at any parallelism,
-// produce bit-identical SearchResults — the report records wall-clock and
-// allocation behavior only.
+// trajectory). Searches at any parallelism produce bit-identical
+// SearchResults — the report records wall-clock and allocation behavior
+// only.
 type PerfReport struct {
 	// Schema versions the report layout.
 	Schema string `json:"schema"`
-	// GoMaxProcs records the scheduler width the numbers were taken at;
-	// CPU-bound speedups are bounded by it.
-	GoMaxProcs int `json:"gomaxprocs"`
+	// GoMaxProcs, NumCPU and GoVersion record the machine every entry was
+	// taken on; CPU-bound speedups are bounded by GoMaxProcs.
+	GoMaxProcs int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	GoVersion  string `json:"go_version"`
+	// Runs is how many times every entry was measured.
+	Runs int `json:"runs"`
 	// DeployDelayMs is the synthetic per-evaluation measurement window of
 	// the "deploy" search variants.
 	DeployDelayMs float64 `json:"deploy_delay_ms"`
-	// TargetSpeedup is the design target for parallelism=4 over the serial
-	// baseline in both regimes; the CI smoke gate asserts a lower floor
-	// (see cmd/ribbon-bench -perf-smoke).
-	TargetSpeedup float64 `json:"target_speedup"`
 	// Entries holds the measurements.
 	Entries []PerfEntry `json:"entries"`
 }
+
+// perfRuns is how many times the perf experiment measures each entry.
+const perfRuns = 3
 
 // perfDeployDelay models the wall-clock cost of sampling a configuration on
 // a real deployment (the paper serves live traffic through each candidate).
@@ -66,29 +70,46 @@ func timeOp(n int, fn func()) float64 {
 	return float64(time.Since(start).Nanoseconds()) / float64(n)
 }
 
+// spread fills e's min, median and max from per-run ns/op samples.
+func spread(e PerfEntry, ns []float64) PerfEntry {
+	sorted := append([]float64(nil), ns...)
+	sort.Float64s(sorted)
+	e.MinNs, e.MedianNs, e.MaxNs = sorted[0], sorted[len(sorted)/2], sorted[len(sorted)-1]
+	return e
+}
+
 // Perf measures the search-core hot paths: one simulator evaluation, one
-// acquisition step, and full searches serial vs parallel in both the
+// acquisition step, and full searches at parallelism 1 and 4 in both the
 // CPU-bound (simulator) and latency-bound (synthetic deployment window)
-// regimes. It returns a printable table and the machine-readable report.
+// regimes. Every entry is measured perfRuns times. It returns a printable
+// table and the machine-readable report.
 func Perf(s Setup) (Table, PerfReport) {
 	s = s.withDefaults()
 	rep := PerfReport{
-		Schema:        "ribbon-perf/v2",
+		Schema:        "ribbon-perf/v3",
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
+		NumCPU:        runtime.NumCPU(),
+		GoVersion:     runtime.Version(),
+		Runs:          perfRuns,
 		DeployDelayMs: float64(perfDeployDelay) / float64(time.Millisecond),
-		TargetSpeedup: 2.0,
 	}
 	spec := serving.MustNewPoolSpec(models.MustLookup("MT-WND"), s.QoSPercentile, "g4dn", "c5", "r5n")
+	repeat := func(fn func() float64) []float64 {
+		ns := make([]float64, perfRuns)
+		for i := range ns {
+			ns[i] = fn()
+		}
+		return ns
+	}
 
 	// Hot path 1: the discrete-event evaluation.
 	ev := serving.NewSimEvaluator(spec, serving.SimOptions{Queries: s.Queries, Seed: s.Seed})
 	cfg := serving.Config{3, 1, 3}
 	ev.Evaluate(cfg) // warm the arena
-	rep.Entries = append(rep.Entries, PerfEntry{
+	rep.Entries = append(rep.Entries, spread(PerfEntry{
 		Name:        "evaluate",
-		NsPerOp:     timeOp(20, func() { ev.Evaluate(cfg) }),
 		AllocsPerOp: testing.AllocsPerRun(10, func() { ev.Evaluate(cfg) }),
-	})
+	}, repeat(func() float64 { return timeOp(20, func() { ev.Evaluate(cfg) }) })))
 
 	// Hot path 2: the acquisition step (surrogate fit + indexed EI scan),
 	// in the exact shape of the pre-rebuild BenchmarkBOSuggest for
@@ -103,22 +124,19 @@ func Perf(s Setup) (Table, PerfReport) {
 			panic("experiments: no suggestion")
 		}
 	}
-	rep.Entries = append(rep.Entries, PerfEntry{
+	rep.Entries = append(rep.Entries, spread(PerfEntry{
 		Name:        "suggest",
-		NsPerOp:     timeOp(100, suggest),
 		AllocsPerOp: testing.AllocsPerRun(50, suggest),
-	})
+	}, repeat(func() float64 { return timeOp(100, suggest) })))
 
 	// Hot path 3: the full search, CPU-bound (pure simulator) and
-	// latency-bound (synthetic deployment window). The baseline of each
-	// regime is the pinned serial mode — the classic per-step-retune loop
-	// earlier BENCH reports measured — and the parallel entries run the
-	// canonical trajectory at parallelism=4 under auto plus each pinned
-	// prefetch mode. Every non-serial entry commits an identical
-	// SearchResult; only wall-clock differs.
+	// latency-bound (synthetic deployment window), at parallelism 1 and 4.
+	// Both commit the identical SearchResult, so the P4/P1 ratio isolates
+	// the parallel gain. Each run starts from a cold cache, and the P1 and
+	// P4 runs alternate so drift on a shared host hits both alike.
 	bounds := []int{5, 8, 8}
 	budget := 40
-	search := func(delay time.Duration, parallelism int, mode core.Mode) float64 {
+	search := func(delay time.Duration, parallelism int) float64 {
 		var inner serving.Evaluator = serving.NewSimEvaluator(spec,
 			serving.SimOptions{Queries: s.Queries / 2, Seed: s.Seed})
 		if delay > 0 {
@@ -126,58 +144,39 @@ func Perf(s Setup) (Table, PerfReport) {
 		}
 		cache := serving.NewCachingEvaluator(inner)
 		return timeOp(1, func() {
-			core.NewSearcher(cache, bounds, s.Seed, core.Options{
-				Parallelism: parallelism, Mode: mode}).Run(budget)
+			core.NewSearcher(cache, bounds, s.Seed, core.Options{Parallelism: parallelism}).Run(budget)
 		})
 	}
 	for _, regime := range []struct {
 		name  string
 		delay time.Duration
 	}{{"sim", 0}, {"deploy25ms", perfDeployDelay}} {
-		serialNs := search(regime.delay, 1, core.ModeSerial)
-		rep.Entries = append(rep.Entries, PerfEntry{
-			Name:    fmt.Sprintf("search/%s/parallelism=1", regime.name),
-			Mode:    string(core.ModeSerial),
-			NsPerOp: serialNs,
-		})
-		for _, m := range []struct {
-			suffix string
-			mode   core.Mode
-		}{{"", core.ModeAuto}, {"/batched", core.ModeBatched}, {"/speculative", core.ModeSpeculative}} {
-			ns := search(regime.delay, 4, m.mode)
-			label := "auto"
-			if m.mode != core.ModeAuto {
-				label = string(m.mode)
-			}
-			e := PerfEntry{
-				Name:    fmt.Sprintf("search/%s/parallelism=4%s", regime.name, m.suffix),
-				Mode:    label,
-				NsPerOp: ns,
-			}
-			if ns > 0 {
-				e.SpeedupVsSerial = serialNs / ns
-			}
-			rep.Entries = append(rep.Entries, e)
+		var p1, p4 []float64
+		for i := 0; i < perfRuns; i++ {
+			p1 = append(p1, search(regime.delay, 1))
+			p4 = append(p4, search(regime.delay, 4))
 		}
+		one := spread(PerfEntry{Name: fmt.Sprintf("search/%s/parallelism=1", regime.name)}, p1)
+		four := spread(PerfEntry{Name: fmt.Sprintf("search/%s/parallelism=4", regime.name)}, p4)
+		four.SpeedupVsP1 = one.MinNs / four.MinNs
+		rep.Entries = append(rep.Entries, one, four)
 	}
 
 	t := Table{
 		ID:     "perf",
-		Title:  "Search-core hot paths (bit-identical results in every non-serial mode)",
-		Header: []string{"Path", "mode", "ns/op", "allocs/op", "speedup vs serial"},
+		Title:  fmt.Sprintf("Search-core hot paths, %d runs each (bit-identical results at any parallelism)", perfRuns),
+		Header: []string{"Path", "min ns/op", "median ns/op", "max ns/op", "allocs/op", "speedup vs P1"},
 	}
 	for _, e := range rep.Entries {
-		mode, alloc, speed := "-", "-", "-"
-		if e.Mode != "" {
-			mode = e.Mode
-		}
+		alloc, speed := "-", "-"
 		if e.AllocsPerOp > 0 {
 			alloc = fmt.Sprintf("%.0f", e.AllocsPerOp)
 		}
-		if e.SpeedupVsSerial > 0 {
-			speed = fmt.Sprintf("%.2fx", e.SpeedupVsSerial)
+		if e.SpeedupVsP1 > 0 {
+			speed = fmt.Sprintf("%.2fx", e.SpeedupVsP1)
 		}
-		t.AddRow(e.Name, mode, fmt.Sprintf("%.0f", e.NsPerOp), alloc, speed)
+		t.AddRow(e.Name, fmt.Sprintf("%.0f", e.MinNs), fmt.Sprintf("%.0f", e.MedianNs),
+			fmt.Sprintf("%.0f", e.MaxNs), alloc, speed)
 	}
 	return t, rep
 }

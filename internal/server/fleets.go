@@ -60,7 +60,6 @@ func (st *fleetStore) create(spec api.FleetSpec) (api.Fleet, *api.Error) {
 	for _, m := range spec.Models {
 		svc := serviceConfig(m.ServiceSpec, ribbon.SearchOptions{
 			Parallelism: spec.Parallelism,
-			Mode:        searchMode(spec.SearchMode),
 		})
 		svc.DispatchObserver = st.sm.observer()
 		cfg.Models = append(cfg.Models, ribbon.FleetModel{

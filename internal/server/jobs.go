@@ -66,7 +66,6 @@ func (st *jobStore) create(req api.OptimizeRequest) (api.Job, *api.Error) {
 	// progress callback owns the live Samples/BestCost view.
 	opt, e := newOptimizer(req.ServiceSpec, ribbon.SearchOptions{
 		Parallelism: req.Parallelism,
-		Mode:        searchMode(req.SearchMode),
 		Progress: func(step ribbon.Step) {
 			st.observe(j, step)
 		}}, st.sm)

@@ -283,15 +283,6 @@ func serviceConfig(spec api.ServiceSpec, opts ribbon.SearchOptions) ribbon.Servi
 	return cfg
 }
 
-// searchMode maps the validated wire-level search_mode string onto the
-// library's execution mode; "auto" and "" both mean the adaptive default.
-func searchMode(s string) ribbon.SearchMode {
-	if s == api.SearchModeAuto {
-		return ribbon.ModeAuto
-	}
-	return ribbon.SearchMode(s)
-}
-
 // apiError maps a library constructor error onto the wire error codes.
 func apiError(err error) *api.Error {
 	code := api.ErrInvalidRequest
@@ -430,7 +421,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	opt, e := newOptimizer(req.ServiceSpec, ribbon.SearchOptions{
 		Parallelism: req.Parallelism,
-		Mode:        searchMode(req.SearchMode),
 	}, s.sm)
 	if e != nil {
 		s.writeErr(w, e)

@@ -189,6 +189,26 @@ func TestOptimizeBadBudget(t *testing.T) {
 	}
 }
 
+// TestSearchModeRejected: search_mode was removed from the wire, and the
+// strict decoder names the field in a 400 instead of silently ignoring it.
+func TestSearchModeRejected(t *testing.T) {
+	s := newTestServer(t)
+	for path, body := range map[string]string{
+		"/v1/optimize": `{"model":"MT-WND","budget":5,"search_mode":"auto"}`,
+		"/v1/jobs":     `{"model":"MT-WND","budget":5,"search_mode":"serial"}`,
+		"/v1/fleets":   `{"models":[{"model":"CANDLE"}],"budget_per_hour":5,"search_mode":"batched"}`,
+	} {
+		rr := doReq(t, s, http.MethodPost, path, body)
+		if rr.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", path, rr.Code, rr.Body.String())
+			continue
+		}
+		if e := decodeErr(t, rr); e.Code != api.ErrInvalidRequest || !strings.Contains(e.Message, "search_mode") {
+			t.Errorf("%s: error %q %q, want %q naming search_mode", path, e.Code, e.Message, api.ErrInvalidRequest)
+		}
+	}
+}
+
 // TestListEncodesEmptySlices pins the nil-slice satellite fix: list
 // endpoints must encode [] rather than null.
 func TestListEncodesEmptySlices(t *testing.T) {

@@ -73,29 +73,9 @@ type Step = core.Step
 type Strategy = core.Strategy
 
 // SearchOptions tunes the BO searcher (pruning threshold, ablation
-// switches, per-step Progress callback, Parallelism, and the execution
-// Mode); the zero value is the adaptive canonical configuration.
+// switches, per-step Progress callback, Parallelism); the zero value is the
+// canonical configuration.
 type SearchOptions = core.Options
-
-// SearchMode selects the parallel-search execution strategy; see the Mode
-// constants. Every mode but ModeSerial commits the same canonical
-// trajectory — the choice only changes how the worker pool is kept busy.
-type SearchMode = core.Mode
-
-// The execution strategies a search can pin (or leave to ModeAuto).
-const (
-	// ModeAuto measures per-evaluation cost online and picks batched or
-	// speculative prefetching accordingly. The zero value.
-	ModeAuto = core.ModeAuto
-	// ModeSerial pins the classic strictly-serial loop with per-step
-	// hyper-parameter re-tuning — the perf-baseline algorithm.
-	ModeSerial = core.ModeSerial
-	// ModeBatched prefetches the q-EI batch runner-ups (depth Parallelism).
-	ModeBatched = core.ModeBatched
-	// ModeSpeculative prefetches the constant-liar chain (depth
-	// 2*Parallelism).
-	ModeSpeculative = core.ModeSpeculative
-)
 
 // DispatchSpec selects the query-routing policy of the serving pool; the
 // zero value is the paper's preference-order FCFS rule. See
@@ -247,11 +227,11 @@ type ServiceConfig struct {
 	// fields above.
 	Evaluator Evaluator
 	// SearchOptions tunes the BO searcher (pruning threshold, ablation
-	// switches, Parallelism, Mode). Setting SearchOptions.Parallelism > 1
-	// lets Run evaluate up to that many configurations concurrently; the
-	// result is bit-identical to the serial search — parallel evaluation
+	// switches, Parallelism). Setting SearchOptions.Parallelism > 1 lets
+	// Run evaluate up to that many configurations concurrently; the result
+	// is bit-identical to the single-threaded search — parallel evaluation
 	// only prefetches and changes wall-clock time, with the prefetch
-	// strategy picked by SearchOptions.Mode (adaptive when left zero). See
+	// strategy picked from the measured evaluation cost. See
 	// docs/performance.md.
 	SearchOptions core.Options
 }
