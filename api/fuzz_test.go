@@ -1,43 +1,37 @@
-package api
+package api_test
 
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"reflect"
 	"testing"
+
+	"ribbon/api"
+	"ribbon/internal/wire"
 )
 
-// decodeStrict decodes one JSON value the way the control-plane server
-// does: unknown fields and trailing data are errors.
-func decodeStrict[T any](data []byte) (T, error) {
+// decode parses one body with the strict decoder both binaries run.
+func decode[T any](data []byte) (T, *api.Error) {
 	var v T
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&v); err != nil {
-		return v, err
-	}
-	if dec.More() {
-		return v, errors.New("trailing data after JSON body")
-	}
-	return v, nil
+	e := wire.Decode(bytes.NewReader(data), &v)
+	return v, e
 }
 
 // checkRoundTrip is the trust-boundary property shared by the fuzz targets:
 // decoding arbitrary bytes and validating never panics, and every value
 // Validate accepts survives Marshal → strict decode → Validate unchanged.
-func checkRoundTrip[T interface{ Validate() *Error }](t *testing.T, data []byte) {
-	v, err := decodeStrict[T](data)
-	if err != nil || v.Validate() != nil {
+func checkRoundTrip[T interface{ Validate() *api.Error }](t *testing.T, data []byte) {
+	v, e := decode[T](data)
+	if e != nil || v.Validate() != nil {
 		return
 	}
 	out, err := json.Marshal(v)
 	if err != nil {
 		t.Fatalf("marshal accepted %#v: %v", v, err)
 	}
-	back, err := decodeStrict[T](out)
-	if err != nil {
-		t.Fatalf("re-decode %s: %v", out, err)
+	back, e := decode[T](out)
+	if e != nil {
+		t.Fatalf("re-decode %s: %v", out, e)
 	}
 	if e := back.Validate(); e != nil {
 		t.Fatalf("round-tripped %s rejected: %v", out, e)
@@ -67,10 +61,10 @@ func FuzzOptimizeRequest(f *testing.F) {
 	} {
 		f.Add([]byte(body))
 	}
-	if _, err := decodeStrict[OptimizeRequest]([]byte(removedSearchMode)); err == nil {
+	if _, e := decode[api.OptimizeRequest]([]byte(removedSearchMode)); e == nil {
 		f.Fatalf("strict decode accepted search_mode: %s", removedSearchMode)
 	}
-	f.Fuzz(checkRoundTrip[OptimizeRequest])
+	f.Fuzz(checkRoundTrip[api.OptimizeRequest])
 }
 
 func FuzzFleetSpec(f *testing.F) {
@@ -85,8 +79,24 @@ func FuzzFleetSpec(f *testing.F) {
 	} {
 		f.Add([]byte(body))
 	}
-	if _, err := decodeStrict[FleetSpec]([]byte(removedFleetSearchMode)); err == nil {
+	if _, e := decode[api.FleetSpec]([]byte(removedFleetSearchMode)); e == nil {
 		f.Fatalf("strict decode accepted search_mode: %s", removedFleetSearchMode)
 	}
-	f.Fuzz(checkRoundTrip[FleetSpec])
+	f.Fuzz(checkRoundTrip[api.FleetSpec])
+}
+
+func FuzzControllerSpec(f *testing.F) {
+	for _, body := range []string{
+		// The docs/api.md controller body.
+		`{"model": "MT-WND", "scenario": "diurnal", "total_queries": 40000,
+		  "window_ms": 8000, "dwell_ms": 4000, "rel_threshold": 0.25}`,
+		`{"model": "CANDLE", "phases": [{"queries": 4000, "rate_scale": 1}, {"queries": 6000, "rate_scale": 2.5}],
+		  "use_spot": true, "chaos": {"seed": 7, "horizon_ms": 600000, "revocation_multiplier": 2000,
+		  "warning_ms": 500, "failures_per_hour": 600, "slowdowns_per_hour": 30, "slowdown_factor": 3,
+		  "slowdown_ms": 2000, "price_step_ms": 2000, "price_volatility": 0.25, "restore_after_ms": 5000}}`,
+		`{"model":"MT-WND","phases":[]}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(checkRoundTrip[api.ControllerSpec])
 }

@@ -865,10 +865,12 @@ type GatewayMetrics struct {
 	Tiers []GatewayTierStats `json:"tiers"`
 	// Instances is the live pool.
 	Instances []GatewayInstance `json:"instances"`
-	// Reconfigurations is the controller decision history, oldest first.
+	// Reconfigurations is the controller decision history, oldest first:
+	// Controller.Reconfigurations, or empty on a static pool.
 	Reconfigurations []ControllerReconfiguration `json:"reconfigurations"`
-	// Events is the gateway's control-plane audit trail (reconfiguration
-	// verdicts, drain-then-retire progress), oldest first.
+	// Events is the data plane's audit trail (drain-then-retire, chaos and
+	// SLO events), oldest first. Controller verdicts are in
+	// Controller.Events.
 	Events []AuditEvent `json:"events,omitempty"`
 	// Controller is the live control-loop status; absent when the gateway
 	// serves a static pool.

@@ -113,6 +113,12 @@ func (s ControllerSpec) Validate() *Error {
 	if s.Scenario != "" && len(s.Phases) > 0 {
 		return &Error{Code: ErrInvalidRequest, Message: "scenario and phases are mutually exclusive"}
 	}
+	// An empty list would mean "no load", but omitempty marshals it away
+	// as "the default spike scenario".
+	if s.Phases != nil && len(s.Phases) == 0 {
+		return &Error{Code: ErrInvalidRequest,
+			Message: "phases must list at least one phase (omit it for a named scenario)"}
+	}
 	total := s.TotalQueries
 	if len(s.Phases) > 0 {
 		total = 0

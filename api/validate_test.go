@@ -99,6 +99,7 @@ func TestControllerSpecValidate(t *testing.T) {
 		{"bad service", ControllerSpec{}, ErrInvalidRequest},
 		{"scenario and phases", ControllerSpec{ServiceSpec: base, Scenario: "spike",
 			Phases: []LoadPhase{{Queries: 1, RateScale: 1}}}, ErrInvalidRequest},
+		{"empty phases", ControllerSpec{ServiceSpec: base, Phases: []LoadPhase{}}, ErrInvalidRequest},
 		{"zero-query phase", ControllerSpec{ServiceSpec: base,
 			Phases: []LoadPhase{{Queries: 0, RateScale: 1}}}, ErrInvalidRequest},
 		{"negative-rate phase", ControllerSpec{ServiceSpec: base,

@@ -20,7 +20,7 @@ import (
 // newTestPair spins a real in-process control plane and a client against it.
 func newTestPair(t *testing.T) *Client {
 	t.Helper()
-	srv := server.New(server.Config{Workers: 2, Logf: t.Logf})
+	srv := server.New(server.Config{Workers: 2, Logger: obs.NewPrintfLogger(t.Logf, obs.LevelInfo)})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		hs.Close()
@@ -464,7 +464,7 @@ func (h *overloadedHandler) reset(n int) {
 // are retried within the attempt bound, exhausted retries surface the
 // overload error, and the backoff aborts promptly when the context ends.
 func TestRetryOverloaded(t *testing.T) {
-	srv := server.New(server.Config{Workers: 1, Logf: t.Logf})
+	srv := server.New(server.Config{Workers: 1, Logger: obs.NewPrintfLogger(t.Logf, obs.LevelInfo)})
 	t.Cleanup(srv.Close)
 
 	// Two failures, then success: the third attempt lands.
@@ -525,7 +525,7 @@ func TestRetryOverloaded(t *testing.T) {
 // TestRetryBackoffLogging: with WithLogger attached, each retried attempt
 // emits one structured backoff event naming the route and sleep.
 func TestRetryBackoffLogging(t *testing.T) {
-	srv := server.New(server.Config{Workers: 1, Logf: t.Logf})
+	srv := server.New(server.Config{Workers: 1, Logger: obs.NewPrintfLogger(t.Logf, obs.LevelInfo)})
 	t.Cleanup(srv.Close)
 	h := &overloadedHandler{fail: 2, inner: srv.Handler()}
 	hs := httptest.NewServer(h)
@@ -596,7 +596,7 @@ func TestParseRetryAfter(t *testing.T) {
 // jittered backoff window, the client waits the server-suggested delay
 // before the next attempt, and the decoded error carries the hint.
 func TestRetryHonorsRetryAfter(t *testing.T) {
-	srv := server.New(server.Config{Workers: 1, Logf: t.Logf})
+	srv := server.New(server.Config{Workers: 1, Logger: obs.NewPrintfLogger(t.Logf, obs.LevelInfo)})
 	t.Cleanup(srv.Close)
 	h := &overloadedHandler{fail: 1, retryAfter: "1", inner: srv.Handler()}
 	hs := httptest.NewServer(h)

@@ -16,7 +16,7 @@ import (
 )
 
 func TestSLOAgainstControlPlane(t *testing.T) {
-	srv := server.New(server.Config{Workers: 1, Logf: t.Logf, SLOSampleMs: 5})
+	srv := server.New(server.Config{Workers: 1, Logger: obs.NewPrintfLogger(t.Logf, obs.LevelInfo), SLOSampleMs: 5})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { hs.Close(); srv.Close() })
 	c := New(hs.URL)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"ribbon/internal/cloud"
 	"ribbon/internal/controller"
 	"ribbon/internal/serving"
+	"ribbon/internal/wire"
 	"ribbon/internal/workload"
 )
 
@@ -84,7 +86,10 @@ func TestGatewayInjectAndRestoreClamp(t *testing.T) {
 // TestGatewayChaosForwardsToController: injected events must reach the
 // controller's capacity path — the pool-health input — so its snapshot
 // reports the degradation even before any response tick fires.
-func TestGatewayChaosForwardsToController(t *testing.T) {
+// degradedGateway starts an adaptive gateway, waits for the controller's
+// incumbent, and injects one m5 failure.
+func degradedGateway(t *testing.T) *Gateway {
+	t.Helper()
 	g := newStaticGateway(t, Options{
 		Initial:    serving.Config{2, 2, 2},
 		Bounds:     []int{8, 8, 8},
@@ -110,12 +115,39 @@ func TestGatewayChaosForwardsToController(t *testing.T) {
 	if err := g.Inject(chaos.CapacityEvent{AtMs: 5, Kind: chaos.KindFailure, Family: "m5", Count: 1}); err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+func TestGatewayChaosForwardsToController(t *testing.T) {
+	g := degradedGateway(t)
 	st, _ := g.ControllerStatus()
 	if st.CapacityEvents != 1 {
 		t.Fatalf("controller saw %d capacity events, want 1", st.CapacityEvents)
 	}
 	if !st.Degraded {
 		t.Fatal("controller snapshot does not report the degraded pool")
+	}
+}
+
+// The metrics endpoint renders the controller through the same mapper as
+// the control plane, so the capacity it reports is the capacity the
+// controller holds. Without arrivals the controller does not tick, so the
+// two reads see one status.
+func TestGatewayMetricsMirrorControllerStatus(t *testing.T) {
+	g := degradedGateway(t)
+	got := g.MetricsDTO()
+	st, _ := g.ControllerStatus()
+	want := wire.ControllerStatus(st)
+	if got.Controller == nil || !reflect.DeepEqual(*got.Controller, want) {
+		t.Fatalf("metrics controller status\n got %+v\nwant %+v", got.Controller, want)
+	}
+	if !got.Controller.Degraded || got.Controller.CapacityEvents != 1 {
+		t.Fatalf("degraded=%v capacity_events=%d, want true and 1",
+			got.Controller.Degraded, got.Controller.CapacityEvents)
+	}
+	if !reflect.DeepEqual(got.Reconfigurations, got.Controller.Reconfigurations) {
+		t.Fatalf("reconfigurations %+v != controller.reconfigurations %+v",
+			got.Reconfigurations, got.Controller.Reconfigurations)
 	}
 }
 

@@ -136,8 +136,9 @@ type Options struct {
 	// Registry receives the gateway's metric families (served at
 	// GET /metrics). A private registry is created when nil.
 	Registry *obs.Registry
-	// Logger, when non-nil, mirrors control-plane audit events as
-	// structured log lines. The data-plane hot path never logs.
+	// Logger, when non-nil, mirrors the audit events of the data plane and
+	// of its controller as structured log lines. The data-plane hot path
+	// never logs.
 	Logger *obs.Logger
 	// TraceCapacity bounds the sampled-trace ring readable at
 	// GET /v1/gateway/traces; 256 when zero, negative disables tracing.
@@ -373,6 +374,7 @@ func New(ctx context.Context, opts Options) (*Gateway, error) {
 			Initial: initial,
 			Params:  *opts.Controller,
 			UseSpot: opts.UseSpot,
+			Logger:  opts.Logger,
 			// Chaos stays nil here: the gateway itself replays the schedule
 			// on the live plane and feeds ObserveCapacity, so the controller
 			// sees each event exactly once.
@@ -490,7 +492,7 @@ func (g *Gateway) registerGauges(reg *obs.Registry) {
 func (g *Gateway) runController() {
 	defer close(g.ctrlDone)
 	stat, err := g.ctrl.RunLive(g.ctx, g.feed, func(rec controller.Reconfiguration) {
-		g.m.recordDecision(rec.AtMs, rec)
+		g.m.countDecision(rec.Applied)
 		if rec.Applied {
 			g.applyConfig(rec.To)
 		}
@@ -771,9 +773,6 @@ func (g *Gateway) Metrics() Snapshot {
 			}
 		}
 	}
-	g.m.mu.Lock()
-	s.Reconfigurations = append([]controller.Reconfiguration(nil), g.m.reconfig...)
-	g.m.mu.Unlock()
 	return s
 }
 
@@ -785,7 +784,7 @@ func (g *Gateway) Registry() *obs.Registry { return g.m.reg }
 // is disabled.
 func (g *Gateway) Traces() []obs.Trace { return g.traces.Traces() }
 
-// Events returns the gateway's control-plane audit trail, oldest first.
+// Events returns the data plane's audit trail, oldest first.
 func (g *Gateway) Events() []obs.Event { return g.m.trail.Events() }
 
 // Config returns the currently deployed instance-count vector.

@@ -1,15 +1,13 @@
 package gateway
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 
 	"ribbon/api"
-	"ribbon/internal/controller"
 	"ribbon/internal/dispatch"
 	"ribbon/internal/obs"
-	"ribbon/internal/slo"
+	"ribbon/internal/wire"
 	"ribbon/internal/workload"
 )
 
@@ -22,9 +20,11 @@ import (
 //	GET  /metrics             — Prometheus text exposition
 //	GET  /healthz             — liveness
 //
-// Shed and rejected requests answer 503 overloaded with a Retry-After hint,
-// the same contract the control-plane server uses, so the shared client's
-// backoff logic applies unchanged.
+// Bodies, errors and snapshots go through internal/wire, as on the control
+// plane: requests decode strictly, and shed and rejected requests answer
+// 503 overloaded with a Retry-After hint, so the shared client's backoff
+// logic applies unchanged. Encoder errors are dropped: the status line is
+// already sent, so the client sees a cut-off body either way.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/infer", g.handleInfer)
@@ -38,42 +38,21 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, e *api.Error) {
-	if status == http.StatusServiceUnavailable {
-		// Shed/rejected means the pool is saturated right now; a drained
-		// queue is at most a service time or two away. One second is the
-		// honest wall-clock hint at any time scale.
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, status, api.ErrorResponse{Error: e})
-}
-
 func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) {
 	var req api.InferRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest,
-			&api.Error{Code: api.ErrInvalidRequest, Message: "bad request body: " + err.Error()})
+	if e := wire.Decode(http.MaxBytesReader(w, r.Body, 1<<20), &req); e != nil {
+		_ = wire.WriteError(w, e)
 		return
 	}
 	class := workload.Criticality(req.Class).Normalize()
 	if !class.Valid() {
-		writeErr(w, http.StatusBadRequest,
-			&api.Error{Code: api.ErrInvalidRequest, Message: fmt.Sprintf("unknown class %q", req.Class)})
+		_ = wire.WriteError(w, &api.Error{Code: api.ErrInvalidRequest,
+			Message: fmt.Sprintf("unknown class %q", req.Class)})
 		return
 	}
 	if req.Batch < 0 || req.ArrivalMs < 0 {
-		writeErr(w, http.StatusBadRequest,
-			&api.Error{Code: api.ErrInvalidRequest, Message: "batch and arrival_ms must be non-negative"})
+		_ = wire.WriteError(w, &api.Error{Code: api.ErrInvalidRequest,
+			Message: "batch and arrival_ms must be non-negative"})
 		return
 	}
 	arrival := req.ArrivalMs
@@ -91,18 +70,17 @@ func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) {
 		if reqID != "" {
 			w.Header().Set("X-Request-Id", reqID)
 		}
-		writeErr(w, http.StatusServiceUnavailable,
-			&api.Error{Code: api.ErrOverloaded, Message: "request " + out.String() + ": pool saturated"})
+		_ = wire.WriteError(w, &api.Error{Code: api.ErrOverloaded,
+			Message: "request " + out.String() + ": pool saturated"})
 	case err != nil:
-		writeErr(w, http.StatusInternalServerError,
-			&api.Error{Code: api.ErrInternal, Message: err.Error()})
+		_ = wire.WriteError(w, &api.Error{Code: api.ErrInternal, Message: err.Error()})
 	default:
 		traceID := ""
 		if resp.TraceSeq != 0 || resp.TraceID != "" {
 			traceID = obs.TraceID(resp.TraceSeq, resp.TraceID)
 			w.Header().Set("X-Request-Id", traceID)
 		}
-		writeJSON(w, http.StatusOK, api.InferResponse{
+		_ = wire.WriteJSON(w, http.StatusOK, api.InferResponse{
 			Outcome:   out.String(),
 			LatencyMs: resp.LatencyMs,
 			ServiceMs: resp.ServiceMs,
@@ -132,63 +110,20 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, dto)
 	}
-	writeJSON(w, http.StatusOK, api.GatewayTraces{Traces: out})
+	_ = wire.WriteJSON(w, http.StatusOK, api.GatewayTraces{Traces: out})
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, g.MetricsDTO())
+	_ = wire.WriteJSON(w, http.StatusOK, g.MetricsDTO())
 }
 
 func (g *Gateway) handleSLO(w http.ResponseWriter, r *http.Request) {
 	s, ok := g.SLOStatus()
 	if !ok {
-		writeErr(w, http.StatusNotFound,
-			&api.Error{Code: api.ErrNotFound, Message: "slo engine not configured"})
+		_ = wire.WriteError(w, &api.Error{Code: api.ErrNotFound, Message: "slo engine not configured"})
 		return
 	}
-	writeJSON(w, http.StatusOK, sloStatusDTO(s))
-}
-
-// sloStatusDTO maps the SLO engine's snapshot onto the wire schema.
-func sloStatusDTO(s slo.Status) api.SLOStatus {
-	out := api.SLOStatus{
-		AtMs:       s.AtMs,
-		Firing:     s.Firing,
-		Objectives: make([]api.SLOObjective, 0, len(s.Objectives)),
-	}
-	for _, o := range s.Objectives {
-		dto := api.SLOObjective{
-			Name:            o.Name,
-			Tier:            o.Tier,
-			Kind:            o.Kind,
-			Target:          o.Target,
-			Good:            o.Good,
-			Total:           o.Total,
-			ErrorRate:       o.ErrorRate,
-			BudgetRemaining: o.BudgetRemaining,
-		}
-		for _, wd := range o.Windows {
-			dto.Windows = append(dto.Windows, api.SLOWindow{
-				WindowMs:  wd.WindowMs,
-				ErrorRate: wd.ErrorRate,
-				BurnRate:  wd.BurnRate,
-			})
-		}
-		for _, rl := range o.Rules {
-			dto.Rules = append(dto.Rules, api.SLORule{
-				Severity:  rl.Severity,
-				Threshold: rl.Threshold,
-				LongMs:    rl.LongMs,
-				ShortMs:   rl.ShortMs,
-				BurnLong:  rl.BurnLong,
-				BurnShort: rl.BurnShort,
-				Firing:    rl.Firing,
-				SinceMs:   rl.SinceMs,
-			})
-		}
-		out.Objectives = append(out.Objectives, dto)
-	}
-	return out
+	_ = wire.WriteJSON(w, http.StatusOK, wire.SLOStatus(s))
 }
 
 // MetricsDTO assembles the wire-level metrics snapshot served by
@@ -234,76 +169,12 @@ func (g *Gateway) MetricsDTO() api.GatewayMetrics {
 			Retiring:   inst.Retiring,
 		})
 	}
-	out.Reconfigurations = make([]api.ControllerReconfiguration, 0, len(s.Reconfigurations))
-	for _, rec := range s.Reconfigurations {
-		out.Reconfigurations = append(out.Reconfigurations, reconfigDTO(rec))
-	}
-	out.Events = auditEventsDTO(s.Events)
+	out.Events = wire.AuditEvents(s.Events)
+	out.Reconfigurations = []api.ControllerReconfiguration{}
 	if stat, ok := g.ControllerStatus(); ok {
-		cs := controllerStatusDTO(stat)
+		cs := wire.ControllerStatus(stat)
 		out.Controller = &cs
+		out.Reconfigurations = cs.Reconfigurations
 	}
-	return out
-}
-
-// auditEventsDTO maps obs audit events onto the wire schema.
-func auditEventsDTO(evs []obs.Event) []api.AuditEvent {
-	if len(evs) == 0 {
-		return nil
-	}
-	out := make([]api.AuditEvent, 0, len(evs))
-	for _, ev := range evs {
-		dto := api.AuditEvent{
-			Seq:     ev.Seq,
-			AtMs:    ev.AtMs,
-			Kind:    string(ev.Kind),
-			Message: ev.Message,
-		}
-		for _, f := range ev.Fields {
-			dto.Fields = append(dto.Fields, api.AuditField{Key: f.Key, Value: f.Value})
-		}
-		out = append(out, dto)
-	}
-	return out
-}
-
-func reconfigDTO(rec controller.Reconfiguration) api.ControllerReconfiguration {
-	return api.ControllerReconfiguration{
-		AtMs:              rec.AtMs,
-		ObservedScale:     rec.ObservedScale,
-		OldScale:          rec.OldScale,
-		NewScale:          rec.NewScale,
-		From:              rec.From,
-		To:                rec.To,
-		FromCostPerHour:   rec.FromCostPerHour,
-		ToCostPerHour:     rec.ToCostPerHour,
-		MigrationCost:     rec.MigrationCost,
-		Trigger:           rec.Trigger,
-		IncumbentMeetsQoS: rec.IncumbentMeetsQoS,
-		Samples:           rec.Samples,
-		Applied:           rec.Applied,
-		Reason:            rec.Reason,
-	}
-}
-
-func controllerStatusDTO(s controller.Status) api.ControllerStatus {
-	out := api.ControllerStatus{
-		State:                string(s.State),
-		NowMs:                s.NowMs,
-		Arrivals:             s.Arrivals,
-		Ticks:                s.Ticks,
-		EstimatedScale:       s.EstimatedScale,
-		AppliedScale:         s.AppliedScale,
-		PendingForMs:         s.PendingForMs,
-		Incumbent:            s.Incumbent,
-		IncumbentCostPerHour: s.IncumbentCostPerHour,
-		IncumbentMeetsQoS:    s.IncumbentMeetsQoS,
-		SearchSamples:        s.SearchSamples,
-		Reconfigurations:     make([]api.ControllerReconfiguration, 0, len(s.Reconfigurations)),
-	}
-	for _, rec := range s.Reconfigurations {
-		out.Reconfigurations = append(out.Reconfigurations, reconfigDTO(rec))
-	}
-	out.Events = auditEventsDTO(s.Events)
 	return out
 }

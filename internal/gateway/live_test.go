@@ -88,10 +88,10 @@ func runLiveFlood(t *testing.T, g *Gateway, stream *workload.Stream, shiftMs, pa
 	go func() {
 		defer watch.Done()
 		for watchCtx.Err() == nil {
-			s := g.Metrics()
-			for _, rec := range s.Reconfigurations {
+			st, _ := g.ControllerStatus()
+			for _, rec := range st.Reconfigurations {
 				if rec.Applied {
-					res.apply = s
+					res.apply = g.Metrics()
 					res.gotApply = true
 					// Give the new pool one settle beat — the backlog the
 					// undersized pool accumulated drains through the enlarged

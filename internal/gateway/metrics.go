@@ -3,9 +3,7 @@ package gateway
 import (
 	"math"
 	"strconv"
-	"sync"
 
-	"ribbon/internal/controller"
 	"ribbon/internal/dispatch"
 	"ribbon/internal/obs"
 )
@@ -51,8 +49,8 @@ type tierMetrics struct {
 	latency   *obs.Histogram
 }
 
-// metrics is the gateway's view over its obs.Registry, plus the controller
-// decision history and the control-plane audit trail.
+// metrics is the gateway's view over its obs.Registry, plus the data plane's
+// audit trail.
 type metrics struct {
 	reg *obs.Registry
 
@@ -72,9 +70,6 @@ type metrics struct {
 	tiers [dispatch.NumRanks]tierMetrics
 
 	trail *obs.Trail
-
-	mu       sync.Mutex
-	reconfig []controller.Reconfiguration
 }
 
 // init registers the gateway's metric families on reg and resolves every
@@ -145,25 +140,14 @@ func (m *metrics) recordShed(rank int) { m.tiers[rank].shed.Inc() }
 
 func (m *metrics) recordReject(rank int) { m.tiers[rank].rejected.Inc() }
 
-func (m *metrics) recordDecision(atMs float64, rec controller.Reconfiguration) {
-	m.mu.Lock()
-	m.reconfig = append(m.reconfig, rec)
-	m.mu.Unlock()
-	if rec.Applied {
+// countDecision counts one controller verdict. The verdict itself is on the
+// controller's audit trail, which owns it.
+func (m *metrics) countDecision(applied bool) {
+	if applied {
 		m.reconfApplied.Inc()
 	} else {
 		m.reconfKept.Inc()
 	}
-	m.trail.Record(atMs, "reconfigure", "controller verdict: "+rec.Reason,
-		obs.F("applied", rec.Applied),
-		obs.F("observed_scale", rec.ObservedScale),
-		obs.F("from", rec.From.Key()),
-		obs.F("to", rec.To.Key()),
-		obs.F("from_cost_per_hour", rec.FromCostPerHour),
-		obs.F("to_cost_per_hour", rec.ToCostPerHour),
-		obs.F("migration_cost", rec.MigrationCost),
-		obs.F("samples", rec.Samples),
-	)
 }
 
 func (m *metrics) recordRetire(atMs float64, kind obs.EventKind, inst *instance) {
@@ -241,11 +225,9 @@ type Snapshot struct {
 	// Instances describes the live pool.
 	Instances []InstanceSnapshot `json:"instances"`
 
-	// Reconfigurations is the controller decision history so far.
-	Reconfigurations []controller.Reconfiguration `json:"reconfigurations"`
-
-	// Events is the gateway's control-plane audit trail (reconfiguration
-	// verdicts and drain-then-retire progress), oldest first.
+	// Events is the data plane's audit trail (drain-then-retire, chaos and
+	// SLO events), oldest first. Controller verdicts are on the
+	// controller's own trail (ControllerStatus).
 	Events []obs.Event `json:"events,omitempty"`
 }
 

@@ -183,6 +183,27 @@ func TestGatewayRequestIDAdoption(t *testing.T) {
 	}
 }
 
+// /v1/infer decodes strictly, like the control plane: unknown fields and
+// anything after the JSON value answer 400.
+func TestGatewayInferDecodesStrictly(t *testing.T) {
+	h := newStaticGateway(t, Options{}).Handler()
+	for _, body := range []string{
+		`{"class":"critical"}garbage`,
+		`{"class":"critical"}}`,
+		`{"class":"critical","priority":1}`,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/infer", strings.NewReader(body)))
+		var er api.ErrorResponse
+		if err := json.NewDecoder(rec.Body).Decode(&er); err != nil {
+			t.Fatalf("%s: decode error body: %v", body, err)
+		}
+		if rec.Code != http.StatusBadRequest || er.Error == nil || er.Error.Code != api.ErrInvalidRequest {
+			t.Errorf("%s: status %d, error %+v; want 400 invalid_request", body, rec.Code, er.Error)
+		}
+	}
+}
+
 func TestGatewayTracingDisabled(t *testing.T) {
 	g := newStaticGateway(t, Options{TraceCapacity: -1})
 	ctx := context.Background()

@@ -115,7 +115,7 @@ type Logger struct {
 
 	mu   sync.Mutex
 	w    io.Writer
-	emit func(line string) // overrides w when set (printf shim)
+	emit func(line string) // overrides w when set (printf adapter)
 
 	now func() time.Time // test hook; time.Now when nil
 }
@@ -130,9 +130,9 @@ func NewLogger(w io.Writer, level Level, format Format) *Logger {
 // NewStderrLogger returns a text logger on os.Stderr at LevelInfo.
 func NewStderrLogger() *Logger { return NewLogger(os.Stderr, LevelInfo, FormatText) }
 
-// NewPrintfLogger adapts a printf-style sink (such as testing.T.Logf or the
-// deprecated server Config.Logf) into a Logger. Lines are rendered in text
-// format and handed to f without a trailing newline.
+// NewPrintfLogger adapts a printf-style sink, such as testing.T.Logf, into a
+// Logger. Lines are rendered in text format and handed to f without a
+// trailing newline.
 func NewPrintfLogger(f func(format string, args ...any), level Level) *Logger {
 	l := &Logger{fmt: FormatText, emit: func(line string) { f("%s", line) }}
 	l.level.Store(int32(level))
@@ -166,15 +166,6 @@ func (l *Logger) Debug(msg string, fields ...Field) { l.log(LevelDebug, msg, fie
 func (l *Logger) Info(msg string, fields ...Field)  { l.log(LevelInfo, msg, fields) }
 func (l *Logger) Warn(msg string, fields ...Field)  { l.log(LevelWarn, msg, fields) }
 func (l *Logger) Error(msg string, fields ...Field) { l.log(LevelError, msg, fields) }
-
-// Printf logs a formatted line at LevelInfo. It exists to back deprecated
-// printf-style call sites; new code should use the structured methods.
-func (l *Logger) Printf(format string, args ...any) {
-	if !l.Enabled(LevelInfo) {
-		return
-	}
-	l.log(LevelInfo, strings.TrimSuffix(fmt.Sprintf(format, args...), "\n"), nil)
-}
 
 func (l *Logger) log(level Level, msg string, fields []Field) {
 	if !l.Enabled(level) {

@@ -70,7 +70,7 @@ func TestLoggerPrintfShim(t *testing.T) {
 		lines = append(lines, format)
 		_ = args
 	}, LevelInfo)
-	l.Printf("served %d requests\n", 7)
+	l.Info("served", F("requests", 7))
 	if len(lines) != 1 {
 		t.Fatalf("want 1 line, got %d", len(lines))
 	}

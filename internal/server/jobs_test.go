@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ribbon/api"
+	"ribbon/internal/obs"
 )
 
 func decodeJob(t *testing.T, body []byte) api.Job {
@@ -133,7 +134,7 @@ func TestJobCancelMidSearch(t *testing.T) {
 // TestJobCancelWhileQueued cancels a job the single worker has not picked up
 // yet: it must go terminal without ever running.
 func TestJobCancelWhileQueued(t *testing.T) {
-	s := New(Config{Workers: 1, Logf: t.Logf})
+	s := New(Config{Workers: 1, Logger: obs.NewPrintfLogger(t.Logf, obs.LevelInfo)})
 	t.Cleanup(s.Close)
 
 	blocker := `{"model":"MT-WND","families":["g4dn","t3"],"budget":100000,"queries":60000}`
@@ -167,7 +168,7 @@ func TestJobCancelWhileQueued(t *testing.T) {
 
 // TestJobQueueOverload fills the queue and expects 503/overloaded.
 func TestJobQueueOverload(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 1, Logf: t.Logf})
+	s := New(Config{Workers: 1, QueueDepth: 1, Logger: obs.NewPrintfLogger(t.Logf, obs.LevelInfo)})
 	t.Cleanup(s.Close)
 
 	slow := `{"model":"MT-WND","families":["g4dn","t3"],"budget":100000,"queries":60000}`
@@ -203,7 +204,7 @@ func TestJobQueueOverload(t *testing.T) {
 // their QueueDepth slots immediately, not when a worker eventually drains
 // them.
 func TestCancelledQueuedJobFreesSlot(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 1, Logf: t.Logf})
+	s := New(Config{Workers: 1, QueueDepth: 1, Logger: obs.NewPrintfLogger(t.Logf, obs.LevelInfo)})
 	t.Cleanup(s.Close)
 
 	slow := `{"model":"MT-WND","families":["g4dn","t3"],"budget":100000,"queries":60000}`
@@ -247,7 +248,7 @@ func TestCancelledQueuedJobFreesSlot(t *testing.T) {
 // TestTerminalJobEviction: only the newest RetainJobs terminal jobs stay
 // queryable; older ones are evicted and answer 404.
 func TestTerminalJobEviction(t *testing.T) {
-	s := New(Config{Workers: 1, RetainJobs: 2, Logf: t.Logf})
+	s := New(Config{Workers: 1, RetainJobs: 2, Logger: obs.NewPrintfLogger(t.Logf, obs.LevelInfo)})
 	t.Cleanup(s.Close)
 
 	fast := `{"model":"MT-WND","families":["g4dn","t3"],"budget":2,"queries":800}`

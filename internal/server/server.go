@@ -10,7 +10,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -22,6 +21,7 @@ import (
 	"ribbon/internal/dispatch"
 	"ribbon/internal/obs"
 	"ribbon/internal/slo"
+	"ribbon/internal/wire"
 )
 
 // Config tunes a Server. The zero value is ready for production use.
@@ -53,14 +53,9 @@ type Config struct {
 	DefaultAdaptBudget int
 	// MaxBodyBytes caps request bodies; 1 MiB when zero.
 	MaxBodyBytes int64
-	// Logf receives diagnostics.
-	//
-	// Deprecated: set Logger instead. When only Logf is set it backs a
-	// shim logger, so existing callers keep working unchanged.
-	Logf func(format string, args ...any)
 	// Logger receives structured diagnostics and mirrors every
 	// control-plane audit event (controller and fleet decisions). When
-	// nil, one is derived from Logf, or a stderr text logger is used.
+	// nil, a stderr text logger is used.
 	Logger *obs.Logger
 	// Registry collects the server's Prometheus metrics and backs
 	// GET /metrics; a private registry is created when nil. Share one
@@ -120,14 +115,7 @@ func New(cfg Config) *Server {
 		cfg.DefaultAdaptBudget = 16
 	}
 	if cfg.Logger == nil {
-		if cfg.Logf != nil {
-			cfg.Logger = obs.NewPrintfLogger(cfg.Logf, obs.LevelInfo)
-		} else {
-			cfg.Logger = obs.NewStderrLogger()
-		}
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = cfg.Logger.Printf
+		cfg.Logger = obs.NewStderrLogger()
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
@@ -204,55 +192,24 @@ func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(v); err != nil {
-		s.cfg.Logf("server: encode: %v", err)
-	}
-}
-
-// statusFor maps error codes to HTTP statuses.
-func statusFor(code api.ErrorCode) int {
-	switch code {
-	case api.ErrNotFound:
-		return http.StatusNotFound
-	case api.ErrJobFinished:
-		return http.StatusConflict
-	case api.ErrOverloaded:
-		return http.StatusServiceUnavailable
-	case api.ErrInternal:
-		return http.StatusInternalServerError
-	default:
-		return http.StatusBadRequest
-	}
+	s.logEncode(wire.WriteJSON(w, status, v))
 }
 
 func (s *Server) writeErr(w http.ResponseWriter, e *api.Error) {
-	status := statusFor(e.Code)
-	if status == http.StatusServiceUnavailable {
-		// Overloaded means a bounded worker-pool queue (jobs, controllers,
-		// fleets) is momentarily full; a slot frees as soon as one queued
-		// run finishes its current evaluation. One second is a fair hint,
-		// and the client folds it into its jittered backoff.
-		w.Header().Set("Retry-After", "1")
-	}
-	s.writeJSON(w, status, api.ErrorResponse{Error: e})
+	s.logEncode(wire.WriteError(w, e))
 }
 
-// decode parses a JSON body strictly: unknown fields and trailing garbage
-// are caller mistakes.
+// logEncode reports a response that could not be written, typically to a
+// client that has gone away.
+func (s *Server) logEncode(err error) {
+	if err != nil {
+		s.cfg.Logger.Warn("server: encode response", obs.F("err", err))
+	}
+}
+
+// decode parses a request body strictly, bounded by MaxBodyBytes.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) *api.Error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return &api.Error{Code: api.ErrInvalidRequest, Message: "bad request body: " + err.Error()}
-	}
-	if dec.More() {
-		return &api.Error{Code: api.ErrInvalidRequest, Message: "trailing data after JSON body"}
-	}
-	return nil
+	return wire.Decode(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v)
 }
 
 // serviceConfig maps the wire-level service spec onto the library's

@@ -8,11 +8,12 @@ import (
 	"testing"
 
 	"ribbon/api"
+	"ribbon/internal/obs"
 )
 
 func newTestServer(t *testing.T) *Server {
 	t.Helper()
-	s := New(Config{Workers: 2, Logf: t.Logf})
+	s := New(Config{Workers: 2, Logger: obs.NewPrintfLogger(t.Logf, obs.LevelInfo)})
 	t.Cleanup(s.Close)
 	return s
 }

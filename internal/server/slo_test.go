@@ -8,10 +8,11 @@ import (
 	"time"
 
 	"ribbon/api"
+	"ribbon/internal/obs"
 )
 
 func TestSLOEndpoint(t *testing.T) {
-	s := New(Config{Workers: 1, Logf: t.Logf, SLOSampleMs: 1})
+	s := New(Config{Workers: 1, Logger: obs.NewPrintfLogger(t.Logf, obs.LevelInfo), SLOSampleMs: 1})
 	t.Cleanup(s.Close)
 
 	// Spend a little budget: a 404 is a client error (no budget), a /v1/slo
@@ -57,7 +58,7 @@ func TestSLOEndpoint(t *testing.T) {
 }
 
 func TestSLODisabled(t *testing.T) {
-	s := New(Config{Workers: 1, Logf: t.Logf, SLOSampleMs: -1})
+	s := New(Config{Workers: 1, Logger: obs.NewPrintfLogger(t.Logf, obs.LevelInfo), SLOSampleMs: -1})
 	t.Cleanup(s.Close)
 	rr := doReq(t, s, http.MethodGet, "/v1/slo", "")
 	if rr.Code != http.StatusNotFound {
@@ -69,7 +70,7 @@ func TestSLODisabled(t *testing.T) {
 }
 
 func TestSLOAvailabilityCountsServerErrors(t *testing.T) {
-	s := New(Config{Workers: 1, Logf: t.Logf, SLOSampleMs: -1})
+	s := New(Config{Workers: 1, Logger: obs.NewPrintfLogger(t.Logf, obs.LevelInfo), SLOSampleMs: -1})
 	t.Cleanup(s.Close)
 	doReq(t, s, http.MethodGet, "/healthz", "")
 	doReq(t, s, http.MethodGet, "/v1/jobs/nope", "") // 404: client error, no budget

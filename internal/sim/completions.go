@@ -1,27 +1,29 @@
+// Package sim holds the discrete-event primitive of the serving simulator
+// (internal/serving): CompletionHeap, a heap of plain completion values with
+// no closures or interface boxing, whose backing array is reused across
+// runs. Events fire by (time, scheduling order), so ties break FIFO; tests
+// pin that order against a stable sort. The package knows nothing about
+// queries or instances.
 package sim
 
 // Completion is a typed completion event on the simulator's hot path:
-// instance Inst finishes the query with stream index Idx at Time. Unlike the
-// closure events of Engine, a Completion is a plain value — pushing one onto
-// a CompletionHeap allocates nothing once the heap's backing array has grown
-// to the run's high-water mark.
+// instance Inst finishes the query with stream index Idx at Time. A
+// Completion is a plain value, so pushing one onto a CompletionHeap
+// allocates nothing once the heap's backing array has grown to the run's
+// high-water mark.
 type Completion struct {
 	// Time is the absolute completion time in milliseconds.
 	Time float64
-	// seq breaks time ties FIFO (scheduling order), matching Engine.
+	// seq breaks time ties FIFO (scheduling order).
 	seq uint64
 	// Inst is the serving instance index; Idx is the query stream index.
 	Inst, Idx int32
 }
 
 // CompletionHeap is a time-ordered min-heap of typed completion events with
-// FIFO tie-breaking. It replaces Engine's interface-boxed event heap on the
-// serving simulator's hot path: no closures, no boxing, and the backing
-// array is reusable across runs via Reset.
-//
-// The ordering contract matches Engine exactly: events pop by (Time, push
-// order), so two completions at the same instant fire in the order they were
-// scheduled.
+// FIFO tie-breaking: events pop by (Time, push order), so two completions at
+// the same instant fire in the order they were scheduled. The backing array
+// is reusable across runs via Reset.
 type CompletionHeap struct {
 	h   []Completion
 	seq uint64

@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// The typed completion heap must order by (time, push order) — exactly the
-// contract of Engine's event heap, which the serving simulator's
-// bit-identical rebuild depends on.
+// The typed completion heap must order by (time, push order): the serving
+// simulator's bit-identical output depends on that contract.
 func TestCompletionHeapOrdering(t *testing.T) {
 	var q CompletionHeap
 	times := []float64{5, 1, 3, 1, 5, 2, 1}
