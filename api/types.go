@@ -392,30 +392,35 @@ type ChaosSpec struct {
 	RestoreAfterMs float64 `json:"restore_after_ms,omitempty"`
 }
 
-// ControllerReconfiguration is one confirmed load shift and the resulting
-// keep-or-switch decision.
+// ControllerReconfiguration is one keep-or-switch decision and what
+// triggered it. A confirmed load shift and every capacity trigger reach the
+// same decision; the record covers both.
 type ControllerReconfiguration struct {
 	// AtMs is the stream time of the confirmation.
 	AtMs float64 `json:"at_ms"`
 	// ObservedScale is the estimated load at confirmation; OldScale and
-	// NewScale are the provisioned scales before and after.
+	// NewScale are the provisioned scales before and after. A load shift
+	// re-plans for the load it measured, so NewScale == ObservedScale holds
+	// only for a load shift; a capacity trigger keeps the applied scale.
 	ObservedScale float64 `json:"observed_scale"`
 	OldScale      float64 `json:"old_scale"`
 	NewScale      float64 `json:"new_scale"`
-	// From and To are the incumbent and chosen configurations (equal when
-	// the incumbent was kept), with their prices.
+	// From is the live pool the decision started from (the incumbent minus
+	// capacity lost and not yet replaced); To is the re-search's best
+	// QoS-meeting configuration, or From when it found none. Both are
+	// priced at the rates the decision used (current spot rates for a
+	// spot-priced pool).
 	From            []int   `json:"from"`
 	To              []int   `json:"to"`
 	FromCostPerHour float64 `json:"from_cost_per_hour"`
 	ToCostPerHour   float64 `json:"to_cost_per_hour"`
 	// MigrationCost is the one-off switch charge between From and To.
 	MigrationCost float64 `json:"migration_cost,omitempty"`
-	// Trigger labels capacity-driven decisions ("emergency", "drain",
-	// "price") and burn-rate alert responses ("slo"); empty for ordinary
-	// load-shift decisions.
+	// Trigger names what fired: empty for a load shift, "emergency",
+	// "drain" or "price" for a capacity event, "slo" for a burn-rate page
+	// alert.
 	Trigger string `json:"trigger,omitempty"`
-	// IncumbentMeetsQoS reports whether From still met QoS under the new
-	// load.
+	// IncumbentMeetsQoS reports whether From met QoS at NewScale.
 	IncumbentMeetsQoS bool `json:"incumbent_meets_qos"`
 	// Samples is the number of real evaluations the re-search spent.
 	Samples int `json:"samples"`

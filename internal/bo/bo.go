@@ -249,15 +249,6 @@ func (o *Optimizer) insert(x []int, y float64) {
 	o.ys = append(o.ys, y)
 }
 
-// Observations returns a copy of the recorded observations.
-func (o *Optimizer) Observations() []Observation {
-	out := make([]Observation, len(o.obs))
-	for i, ob := range o.obs {
-		out[i] = Observation{X: append([]int(nil), ob.X...), Y: ob.Y}
-	}
-	return out
-}
-
 // Best returns the observation with the highest objective value. The second
 // return is false when nothing has been observed.
 func (o *Optimizer) Best() (Observation, bool) {

@@ -49,7 +49,7 @@ func TestObserveAndBest(t *testing.T) {
 	if b.Y != 0.5 {
 		t.Fatalf("re-observation did not replace: best %+v", b)
 	}
-	if len(o.Observations()) != 3 {
+	if len(o.obs) != 3 {
 		t.Fatalf("duplicate observation appended instead of replaced")
 	}
 }
@@ -256,16 +256,5 @@ func TestKeyOfInjective(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestObservationsAreCopies(t *testing.T) {
-	o := New([]int{5}, Options{})
-	o.Observe([]int{2}, 0.5)
-	obs := o.Observations()
-	obs[0].X[0] = 99
-	b, _ := o.Best()
-	if b.X[0] != 2 {
-		t.Fatalf("Observations leaked internal state")
 	}
 }

@@ -37,7 +37,7 @@ func TestSpeculateRollsBackCompletely(t *testing.T) {
 	if len(batch) == 0 {
 		t.Fatalf("no speculation from a fitted surrogate")
 	}
-	if got := len(spec.Observations()); got != 3 {
+	if got := len(spec.obs); got != 3 {
 		t.Fatalf("speculation leaked %d observations", got-3)
 	}
 
@@ -123,11 +123,11 @@ func TestObserveLargeBoundsReplaces(t *testing.T) {
 	o := New([]int{1 << 20}, Options{})
 	o.Observe([]int{70000}, 0.5)
 	o.Observe([]int{70000 + (1 << 16)}, 0.7) // would collide under 16-bit keys
-	if got := len(o.Observations()); got != 2 {
+	if got := len(o.obs); got != 2 {
 		t.Fatalf("collision: %d observations, want 2", got)
 	}
 	o.Observe([]int{70000}, 0.9)
-	if got := len(o.Observations()); got != 2 {
+	if got := len(o.obs); got != 2 {
 		t.Fatalf("re-observation appended: %d observations", got)
 	}
 	best, _ := o.Best()
@@ -142,7 +142,7 @@ func TestObserveOffGrid(t *testing.T) {
 	o := New([]int{5, 5}, Options{})
 	o.Observe([]int{9, 9}, 0.1)
 	o.Observe([]int{9, 9}, 0.4)
-	if got := len(o.Observations()); got != 1 {
+	if got := len(o.obs); got != 1 {
 		t.Fatalf("off-grid re-observation appended: %d", got)
 	}
 	best, _ := o.Best()

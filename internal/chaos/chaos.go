@@ -12,9 +12,7 @@
 package chaos
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 )
 
@@ -179,43 +177,3 @@ func (s *Schedule) Clone() *Schedule {
 
 // Empty reports whether the schedule carries no events.
 func (s *Schedule) Empty() bool { return s == nil || len(s.Events) == 0 }
-
-// MarketFactor returns the family's spot-market factor at atMs: the Factor
-// of the latest price event at or before atMs, 1.0 before any.
-func (s *Schedule) MarketFactor(family string, atMs float64) float64 {
-	if s == nil {
-		return 1
-	}
-	f := 1.0
-	for _, e := range s.Events {
-		if e.AtMs > atMs {
-			break
-		}
-		if e.Kind == KindPrice && e.Family == family {
-			f = e.Factor
-		}
-	}
-	return f
-}
-
-// WriteJSON writes the schedule with the repo's standard one-space indent,
-// the byte format the replay-stability tests compare.
-func (s *Schedule) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(s)
-}
-
-// ReadJSON parses a schedule written by WriteJSON and validates it.
-func ReadJSON(r io.Reader) (*Schedule, error) {
-	var s Schedule
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("chaos: decode schedule: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}

@@ -1,10 +1,8 @@
 package chaos
 
 import (
-	"bytes"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -91,42 +89,20 @@ func TestGenerateStormUnknownFamily(t *testing.T) {
 	}
 }
 
-func TestScheduleJSONRoundTrip(t *testing.T) {
-	s := GenerateStorm(stormOpts())
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	first := buf.String()
-	back, err := ReadJSON(strings.NewReader(first))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%#v", *back) != fmt.Sprintf("%#v", *s) {
-		t.Fatalf("round-trip changed the schedule")
-	}
-	var buf2 bytes.Buffer
-	if err := back.WriteJSON(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf2.String() != first {
-		t.Fatalf("re-encoded schedule is not byte-identical")
-	}
-}
-
-func TestReadJSONRejectsInvalid(t *testing.T) {
-	cases := []string{
-		`{"seed":1,"horizon_ms":-5,"events":[]}`,
-		`{"events":[{"at_ms":0,"kind":"revocation","family":"g4dn"}]}`,
-		`{"events":[{"at_ms":0,"kind":"volcano","family":"g4dn","count":1}]}`,
-		`{"events":[{"at_ms":10,"kind":"failure","family":"g4dn","count":1},{"at_ms":5,"kind":"failure","family":"g4dn","count":1}]}`,
-		`{"events":[{"at_ms":0,"kind":"price","family":"g4dn","factor":0}]}`,
-		`{"events":[{"at_ms":0,"kind":"slowdown","family":"g4dn","count":1,"factor":0.5,"duration_ms":100}]}`,
-		`{"bogus_field":true}`,
-	}
-	for _, c := range cases {
-		if _, err := ReadJSON(strings.NewReader(c)); err == nil {
-			t.Errorf("accepted invalid schedule %s", c)
+func TestValidateRejectsInvalid(t *testing.T) {
+	for _, s := range []Schedule{
+		{HorizonMs: -5},
+		{Events: []CapacityEvent{{Kind: KindRevocation, Family: "g4dn"}}},
+		{Events: []CapacityEvent{{Kind: "volcano", Family: "g4dn", Count: 1}}},
+		{Events: []CapacityEvent{
+			{AtMs: 10, Kind: KindFailure, Family: "g4dn", Count: 1},
+			{AtMs: 5, Kind: KindFailure, Family: "g4dn", Count: 1},
+		}},
+		{Events: []CapacityEvent{{Kind: KindPrice, Family: "g4dn"}}},
+		{Events: []CapacityEvent{{Kind: KindSlowdown, Family: "g4dn", Count: 1, Factor: 0.5, DurationMs: 100}}},
+	} {
+		if err := s.Validate(); err == nil {
+			t.Errorf("accepted invalid schedule %+v", s)
 		}
 	}
 }
@@ -139,31 +115,6 @@ func TestEffectiveMs(t *testing.T) {
 	fail := CapacityEvent{AtMs: 1000, Kind: KindFailure}
 	if fail.EffectiveMs() != 1000 {
 		t.Fatalf("failure effective = %g", fail.EffectiveMs())
-	}
-}
-
-func TestMarketFactor(t *testing.T) {
-	s := &Schedule{Events: []CapacityEvent{
-		{AtMs: 100, Kind: KindPrice, Family: "g4dn", Factor: 1.5},
-		{AtMs: 200, Kind: KindPrice, Family: "c5", Factor: 0.8},
-		{AtMs: 300, Kind: KindPrice, Family: "g4dn", Factor: 2.0},
-	}}
-	cases := []struct {
-		fam  string
-		at   float64
-		want float64
-	}{
-		{"g4dn", 0, 1}, {"g4dn", 100, 1.5}, {"g4dn", 299, 1.5}, {"g4dn", 300, 2.0},
-		{"c5", 150, 1}, {"c5", 500, 0.8}, {"r5", 500, 1},
-	}
-	for _, c := range cases {
-		if got := s.MarketFactor(c.fam, c.at); got != c.want {
-			t.Errorf("MarketFactor(%s, %g) = %g, want %g", c.fam, c.at, got, c.want)
-		}
-	}
-	var nilS *Schedule
-	if nilS.MarketFactor("g4dn", 0) != 1 {
-		t.Fatalf("nil schedule must report baseline factor")
 	}
 }
 

@@ -1,13 +1,11 @@
 package controller
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"ribbon/internal/chaos"
 	"ribbon/internal/cloud"
-	"ribbon/internal/core"
 	"ribbon/internal/obs"
 	"ribbon/internal/serving"
 )
@@ -215,118 +213,4 @@ func (c *Controller) syncMarketLocked() {
 	for fam, f := range c.market {
 		c.lastMarket[fam] = f
 	}
-}
-
-// reconfigureCapacity handles one confirmed capacity trigger: an emergency
-// re-search after a hard failure, a drain-window replacement search after a
-// revocation warning, or a price-aware re-optimization after a spot-market
-// move. Unlike the load path it starts from the live (possibly degraded)
-// pool, searches the spot-priced space when UseSpot, and afterwards arms the
-// emergency cooldown so a storm's remaining casualties consolidate into one
-// later response instead of a search each.
-func (c *Controller) reconfigureCapacity(ctx context.Context, nowMs float64, trigger string, est float64) (*Reconfiguration, error) {
-	c.mu.Lock()
-	scale := c.stat.AppliedScale
-	prevSteps := c.lastSteps
-	incumbent := c.incumbent
-	live := c.liveConfigLocked()
-	spec := c.pricedSpecLocked()
-	churn := c.slowdownChurnLocked()
-	seed := c.cfg.Sim.Seed + uint64(c.searches)
-	c.mu.Unlock()
-
-	ev := c.evaluatorForSpec(spec, scale, churn)
-	s := core.NewAdaptedSearcher(ev, c.bounds, seed, c.churnSearchOptions(churn), prevSteps, incumbent)
-	res := s.RunContext(ctx, c.cfg.Params.AdaptBudget)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	liveNow := ev.Evaluate(live)
-
-	rec := Reconfiguration{
-		AtMs:              nowMs,
-		Trigger:           trigger,
-		ObservedScale:     est,
-		OldScale:          scale,
-		NewScale:          scale,
-		From:              live.Clone(),
-		FromCostPerHour:   liveNow.CostPerHour,
-		IncumbentMeetsQoS: liveNow.MeetsQoS,
-		Samples:           res.Samples,
-	}
-	next := liveNow
-	switch {
-	case !res.Found:
-		rec.To = live.Clone()
-		rec.ToCostPerHour = liveNow.CostPerHour
-		rec.Reason = "no QoS-meeting configuration found within budget; degraded pool kept"
-	case res.BestConfig.Key() == live.Key():
-		rec.To = res.BestConfig.Clone()
-		rec.ToCostPerHour = res.BestResult.CostPerHour
-		rec.Reason = "surviving pool remains optimal"
-	default:
-		mig := c.migration.Cost(spec, live, res.BestConfig)
-		rec.To = res.BestConfig.Clone()
-		rec.ToCostPerHour = res.BestResult.CostPerHour
-		rec.MigrationCost = mig
-		horizon := c.cfg.Params.AmortizationHours
-		switch {
-		case !liveNow.MeetsQoS:
-			rec.Applied = true
-			rec.Reason = "surviving pool violates QoS; provisioning replacement capacity"
-		case res.BestResult.CostPerHour*horizon+mig < liveNow.CostPerHour*horizon-1e-9:
-			rec.Applied = true
-			rec.Reason = fmt.Sprintf("cheaper after migration: $%.3f/hr + $%.3f once vs $%.3f/hr",
-				res.BestResult.CostPerHour, mig, liveNow.CostPerHour)
-		default:
-			rec.Reason = fmt.Sprintf("saving does not repay migration within %.2gh; surviving pool kept", horizon)
-		}
-		if rec.Applied {
-			next = res.BestResult
-		}
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.accrueLocked(nowMs)
-	if rec.Applied {
-		c.stat.AccruedCost += rec.MigrationCost
-	}
-	c.searches++
-	c.lastSteps = res.Steps
-	c.incumbent = next
-	// The decision replaces lost capacity either way: keeping the degraded
-	// pool re-baselines it as the incumbent, switching provisions fresh.
-	for i := range c.lost {
-		c.lost[i] = 0
-	}
-	c.stat.Incumbent = next.Config.Clone()
-	c.stat.IncumbentCostPerHour = next.CostPerHour
-	c.stat.IncumbentMeetsQoS = next.MeetsQoS
-	c.stat.LiveConfig = next.Config.Clone()
-	c.stat.Degraded = false
-	c.stat.SearchSamples += res.Samples
-	c.stat.Reconfigurations = append(c.stat.Reconfigurations, rec)
-	c.stat.State = StateSteady
-	c.stat.PendingForMs = 0
-	c.det.Reset()
-	c.capacityCooldownUntil = nowMs + c.cfg.Params.EmergencyCooldownMs
-	c.syncMarketLocked()
-	verdict := "keep"
-	if rec.Applied {
-		verdict = "switch"
-	}
-	c.trail.Record(nowMs, "reconfigure", verdict+" ("+trigger+"): "+rec.Reason,
-		obs.F("applied", rec.Applied),
-		obs.F("trigger", trigger),
-		obs.F("observed_scale", rec.ObservedScale),
-		obs.F("from", rec.From.Key()),
-		obs.F("to", rec.To.Key()),
-		obs.F("from_cost_per_hour", rec.FromCostPerHour),
-		obs.F("to_cost_per_hour", rec.ToCostPerHour),
-		obs.F("migration_cost", rec.MigrationCost),
-		obs.F("samples", rec.Samples),
-	)
-	return &rec, nil
 }

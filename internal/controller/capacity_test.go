@@ -3,6 +3,7 @@ package controller
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"ribbon/internal/chaos"
@@ -252,6 +253,51 @@ func TestSpotPriceMoveTriggersReoptimization(t *testing.T) {
 	}
 	if st.CapacityEvents != 1 {
 		t.Fatalf("price event not witnessed: CapacityEvents = %d", st.CapacityEvents)
+	}
+}
+
+// TestLoadShiftPricesLivePoolAtCurrentRates: a spot move below
+// PriceRelThreshold arms no trigger, but the next load shift must still
+// price the pool it starts from at today's rates, the ones its decision
+// compares against, not at the rates of the previous decision.
+func TestLoadShiftPricesLivePoolAtCurrentRates(t *testing.T) {
+	cfg := testConfig()
+	cfg.UseSpot = true
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.initialize(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	inc := c.Snapshot().Incumbent
+	_, fam := richestSlot(t, inc)
+	const factor = 1.1 // a 10% move, under the 15% price trigger
+	cfg.Chaos = &chaos.Schedule{Events: []chaos.CapacityEvent{
+		{AtMs: 2500, Kind: chaos.KindPrice, Family: fam, Factor: factor},
+	}}
+	st := mustRunChaos(t, cfg, []workload.Phase{{Queries: 6000, RateScale: 1.0}, {Queries: 8000, RateScale: 2.0}})
+	if len(st.Reconfigurations) != 1 {
+		t.Fatalf("got %d reconfigurations, want the load shift only: %+v", len(st.Reconfigurations), st.Reconfigurations)
+	}
+	rec := st.Reconfigurations[0]
+	if rec.Trigger != "" {
+		t.Fatalf("trigger %q, want a load shift", rec.Trigger)
+	}
+	if rec.From.Key() != inc.Key() {
+		t.Fatalf("shift started from %v, want the undegraded incumbent %v", rec.From, inc)
+	}
+	want := 0.0
+	for i, it := range cfg.Spec.Types {
+		f := 1.0
+		if it.Family == fam {
+			f = factor
+		}
+		want += float64(inc[i]) * it.SpotPrice(f)
+	}
+	if math.Abs(rec.FromCostPerHour-want) > 1e-9 {
+		t.Fatalf("FromCostPerHour = %.5f, want %.5f: %v at the current spot rates (%s x%g)",
+			rec.FromCostPerHour, want, inc, fam, factor)
 	}
 }
 

@@ -23,6 +23,10 @@
 //     amortized in. Every decision, applied or rejected, is logged to the
 //     reconfiguration history.
 //
+// Capacity triggers (revocation warnings, hard failures, spot-price moves,
+// SLO pages) skip the detector's dwell and reach the same re-search and
+// keep-or-switch decision, planned at the load already applied.
+//
 // Everything is deterministic per (seed, stream): the estimator and detector
 // are pure state machines over stream time, and each re-search derives its
 // seed from the base seed and the reconfiguration ordinal. Replaying the
@@ -228,34 +232,39 @@ const (
 	StateDone State = "done"
 )
 
-// Reconfiguration is one confirmed load shift or capacity event and the
-// decision it led to — the controller's flight record, applied or not.
+// Reconfiguration is one keep-or-switch decision and what triggered it —
+// the controller's flight record, applied or not. A confirmed load shift
+// and every capacity trigger reach the same decision; the record covers
+// both.
 type Reconfiguration struct {
 	// AtMs is the stream time of the confirmation tick.
 	AtMs float64
-	// Trigger names the control path that fired: "" for a load shift (the
-	// legacy path), "drain" for a spot-revocation warning, "emergency" for
-	// a hard failure, "slo" for a burn-rate page alert, "price" for a
-	// spot-market move.
+	// Trigger names what fired: "" for a load shift, "drain" for a
+	// spot-revocation warning, "emergency" for a hard failure, "slo" for a
+	// burn-rate page alert, "price" for a spot-market move.
 	Trigger string
-	// ObservedScale is the estimator's load scale at confirmation;
-	// OldScale and NewScale are the provisioned scales before and after
-	// (NewScale == ObservedScale: the controller re-plans for the load it
-	// measured).
+	// ObservedScale is the estimator's load scale at confirmation (floored
+	// at 0.05 for a load shift); OldScale and NewScale are the provisioned
+	// scales before and after. A load shift re-plans for the load it
+	// measured, so NewScale == ObservedScale holds only for a load shift; a
+	// capacity trigger keeps the applied scale (NewScale == OldScale).
 	ObservedScale float64
 	OldScale      float64
 	NewScale      float64
-	// From is the incumbent configuration; To is the configuration chosen
-	// by the re-search (equal to From when the incumbent was kept).
+	// From is the live pool the decision started from: the incumbent minus
+	// instances revoked or failed and not yet replaced. To is the
+	// re-search's best QoS-meeting configuration, or From when it found
+	// none; the pool switched to To only when Applied.
 	From serving.Config
 	To   serving.Config
-	// FromCostPerHour and ToCostPerHour price the two pools;
-	// MigrationCost is the one-off switch charge between them.
+	// FromCostPerHour and ToCostPerHour price the two pools at the rates
+	// the decision used (current spot rates under UseSpot); MigrationCost
+	// is the one-off switch charge between them.
 	FromCostPerHour float64
 	ToCostPerHour   float64
 	MigrationCost   float64
-	// IncumbentMeetsQoS reports whether From still met QoS under the new
-	// load (re-measured by the warm start).
+	// IncumbentMeetsQoS reports whether From met QoS at NewScale
+	// (re-measured by the warm start).
 	IncumbentMeetsQoS bool
 	// Samples is the number of real evaluations the re-search spent.
 	Samples int
@@ -665,14 +674,14 @@ func (c *Controller) tick(ctx context.Context, nowMs float64) (*Reconfiguration,
 	}
 	if trigger != "" {
 		c.pendingEmergency, c.pendingDrain, c.pendingPrice, c.pendingSLO = false, false, false, false
-		c.stat.State = StateAdapting
-		c.stat.PendingForMs = 0
+		applied := c.stat.AppliedScale
 		c.mu.Unlock()
 		c.trail.Record(nowMs, "capacity_shift", "capacity response: "+trigger,
 			obs.F("trigger", trigger),
 			obs.F("estimated_scale", est),
 		)
-		return c.reconfigureCapacity(ctx, nowMs, trigger, est)
+		// Capacity changed, not load: re-plan for the scale already applied.
+		return c.reconfigure(ctx, nowMs, trigger, applied, est)
 	}
 
 	// Hold detection until the estimator has seen one full window — the
@@ -709,28 +718,55 @@ func (c *Controller) tick(ctx context.Context, nowMs float64) (*Reconfiguration,
 		obs.F("observed_scale", est),
 		obs.F("applied_scale", applied),
 	)
-	return c.reconfigure(ctx, nowMs, est)
-}
-
-// reconfigure handles one confirmed shift: a bounded warm-started re-search
-// at the observed load, then the keep-or-switch decision with migration
-// cost folded in. It always updates the provisioned scale — the load
-// assessment changed even when the pool does not — and always appends to
-// the history.
-func (c *Controller) reconfigure(ctx context.Context, nowMs, target float64) (*Reconfiguration, error) {
+	// The controller re-plans for the load it measured.
+	target := est
 	if target < minTargetScale {
 		target = minTargetScale
 	}
+	return c.reconfigure(ctx, nowMs, "", target, target)
+}
+
+// decisionReasons words a keep-or-switch outcome. A load shift speaks of
+// the incumbent, a capacity trigger of the surviving pool; both wordings are
+// part of the replayed history, so they stay fixed.
+type decisionReasons struct {
+	noneFound, optimal, violates, kept string
+}
+
+var (
+	shiftReasons = decisionReasons{
+		noneFound: "no QoS-meeting configuration found within budget; incumbent kept",
+		optimal:   "incumbent remains optimal at the new load",
+		violates:  "incumbent violates QoS at the new load; switching to restore it",
+		kept:      "incumbent kept",
+	}
+	capacityReasons = decisionReasons{
+		noneFound: "no QoS-meeting configuration found within budget; degraded pool kept",
+		optimal:   "surviving pool remains optimal",
+		violates:  "surviving pool violates QoS; provisioning replacement capacity",
+		kept:      "surviving pool kept",
+	}
+)
+
+// reconfigure makes one keep-or-switch decision for any trigger: "" for a
+// confirmed load shift, or the capacity trigger that fired. It runs a
+// bounded re-search at target, warm-started from the incumbent's trace,
+// measures the live (possibly degraded) pool at current prices, and switches
+// only to a QoS-meeting pool that either restores QoS or repays its
+// migration charge within the amortization horizon. It always provisions
+// for target, records the decision in the history, and arms the trigger's
+// cooldown: the shift cooldown for a load shift, the emergency cooldown for
+// a capacity trigger, so a storm's remaining casualties consolidate into one
+// later response instead of a search each.
+func (c *Controller) reconfigure(ctx context.Context, nowMs float64, trigger string, target, observed float64) (*Reconfiguration, error) {
 	c.mu.Lock()
 	oldScale := c.stat.AppliedScale
 	prevSteps := c.lastSteps
 	incumbent := c.incumbent
 	// The pool the decision starts from is the capacity that exists, not
-	// the capacity once decided: a revoked instance the capacity path has
-	// not yet replaced must not be priced, measured, or migrated-from as
-	// if it were still serving.
+	// the capacity once decided: a revoked instance not yet replaced must
+	// not be priced, measured, or migrated-from as if it were still serving.
 	live := c.liveConfigLocked()
-	degraded := live.Key() != incumbent.Config.Key()
 	spec := c.pricedSpecLocked()
 	churn := c.slowdownChurnLocked()
 	seed := c.cfg.Sim.Seed + uint64(c.searches)
@@ -745,35 +781,35 @@ func (c *Controller) reconfigure(ctx context.Context, nowMs, target float64) (*R
 		return nil, err
 	}
 
-	// The warm start re-measured the incumbent under the new load as its
-	// first step; the caching evaluator hands it back for free (when not
-	// degraded — a degraded pool is measured as it actually is).
-	incNow := ev.Evaluate(live)
-	fromCost := incumbent.CostPerHour
-	if degraded {
-		fromCost = incNow.CostPerHour
+	// The warm start re-measured the incumbent at target as its first step;
+	// the caching evaluator hands it back for free unless the pool is
+	// degraded, in which case the live pool is measured as it actually is.
+	liveNow := ev.Evaluate(live)
+	words := shiftReasons
+	if trigger != "" {
+		words = capacityReasons
 	}
-
 	rec := Reconfiguration{
 		AtMs:              nowMs,
-		ObservedScale:     target,
+		Trigger:           trigger,
+		ObservedScale:     observed,
 		OldScale:          oldScale,
 		NewScale:          target,
 		From:              live.Clone(),
-		FromCostPerHour:   fromCost,
-		IncumbentMeetsQoS: incNow.MeetsQoS,
+		FromCostPerHour:   liveNow.CostPerHour,
+		IncumbentMeetsQoS: liveNow.MeetsQoS,
 		Samples:           res.Samples,
 	}
-	next := incNow // deployed result under the new load unless we switch
+	next := liveNow // the deployed pool unless we switch
 	switch {
 	case !res.Found:
 		rec.To = live.Clone()
-		rec.ToCostPerHour = fromCost
-		rec.Reason = "no QoS-meeting configuration found within budget; incumbent kept"
+		rec.ToCostPerHour = liveNow.CostPerHour
+		rec.Reason = words.noneFound
 	case res.BestConfig.Key() == live.Key():
 		rec.To = res.BestConfig.Clone()
 		rec.ToCostPerHour = res.BestResult.CostPerHour
-		rec.Reason = "incumbent remains optimal at the new load"
+		rec.Reason = words.optimal
 	default:
 		mig := c.migration.Cost(spec, live, res.BestConfig)
 		rec.To = res.BestConfig.Clone()
@@ -781,15 +817,15 @@ func (c *Controller) reconfigure(ctx context.Context, nowMs, target float64) (*R
 		rec.MigrationCost = mig
 		horizon := c.cfg.Params.AmortizationHours
 		switch {
-		case !incNow.MeetsQoS:
+		case !liveNow.MeetsQoS:
 			rec.Applied = true
-			rec.Reason = "incumbent violates QoS at the new load; switching to restore it"
-		case res.BestResult.CostPerHour*horizon+mig < incNow.CostPerHour*horizon-1e-9:
+			rec.Reason = words.violates
+		case res.BestResult.CostPerHour*horizon+mig < liveNow.CostPerHour*horizon-1e-9:
 			rec.Applied = true
 			rec.Reason = fmt.Sprintf("cheaper after migration: $%.3f/hr + $%.3f once vs $%.3f/hr",
-				res.BestResult.CostPerHour, mig, incNow.CostPerHour)
+				res.BestResult.CostPerHour, mig, liveNow.CostPerHour)
 		default:
-			rec.Reason = fmt.Sprintf("saving does not repay migration within %.2gh; incumbent kept", horizon)
+			rec.Reason = fmt.Sprintf("saving does not repay migration within %.2gh; %s", horizon, words.kept)
 		}
 		if rec.Applied {
 			next = res.BestResult
@@ -805,8 +841,8 @@ func (c *Controller) reconfigure(ctx context.Context, nowMs, target float64) (*R
 	c.searches++
 	c.lastSteps = res.Steps
 	c.incumbent = next
-	// Whatever was decided, the decision replaces any missing capacity: the
-	// chosen pool is provisioned fresh, so the degradation ledger clears.
+	// The decision replaces lost capacity either way: keeping the degraded
+	// pool re-baselines it as the incumbent, switching provisions fresh.
 	for i := range c.lost {
 		c.lost[i] = 0
 	}
@@ -821,14 +857,20 @@ func (c *Controller) reconfigure(ctx context.Context, nowMs, target float64) (*R
 	c.stat.State = StateSteady
 	c.stat.PendingForMs = 0
 	c.det.Reset()
-	c.cooldownUntil = nowMs + c.cfg.Params.CooldownMs
 	c.syncMarketLocked()
 	verdict := "keep"
 	if rec.Applied {
 		verdict = "switch"
 	}
-	c.trail.Record(nowMs, "reconfigure", verdict+": "+rec.Reason,
-		obs.F("applied", rec.Applied),
+	fields := []obs.Field{obs.F("applied", rec.Applied)}
+	if trigger == "" {
+		c.cooldownUntil = nowMs + c.cfg.Params.CooldownMs
+	} else {
+		c.capacityCooldownUntil = nowMs + c.cfg.Params.EmergencyCooldownMs
+		verdict += " (" + trigger + ")"
+		fields = append(fields, obs.F("trigger", trigger))
+	}
+	c.trail.Record(nowMs, "reconfigure", verdict+": "+rec.Reason, append(fields,
 		obs.F("observed_scale", rec.ObservedScale),
 		obs.F("from", rec.From.Key()),
 		obs.F("to", rec.To.Key()),
@@ -836,6 +878,6 @@ func (c *Controller) reconfigure(ctx context.Context, nowMs, target float64) (*R
 		obs.F("to_cost_per_hour", rec.ToCostPerHour),
 		obs.F("migration_cost", rec.MigrationCost),
 		obs.F("samples", rec.Samples),
-	)
+	)...)
 	return &rec, nil
 }

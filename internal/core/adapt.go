@@ -6,17 +6,6 @@ import (
 	"ribbon/internal/serving"
 )
 
-// DetectLoadChange implements Ribbon's monitoring rule (Sec. 4, "Ribbon
-// promptly responds to load changes"): a deployed configuration whose QoS
-// satisfaction rate drops materially below its previously observed rate —
-// queries piling up in the queue — signals a load shift.
-func DetectLoadChange(old, current serving.Result, dropThreshold float64) bool {
-	if dropThreshold <= 0 {
-		dropThreshold = 0.02
-	}
-	return current.Rsat < old.Rsat-dropThreshold
-}
-
 // NewAdaptedSearcher builds a warm-started searcher for a changed load
 // (Sec. 4): instead of forgetting the previous exploration, it
 //

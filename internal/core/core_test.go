@@ -323,19 +323,6 @@ func TestSamplesToReachCost(t *testing.T) {
 	}
 }
 
-func TestDetectLoadChange(t *testing.T) {
-	old := serving.Result{Rsat: 0.995}
-	if DetectLoadChange(old, serving.Result{Rsat: 0.99}, 0.02) {
-		t.Fatalf("small wiggle flagged as load change")
-	}
-	if !DetectLoadChange(old, serving.Result{Rsat: 0.5}, 0.02) {
-		t.Fatalf("massive drop not flagged")
-	}
-	if !DetectLoadChange(old, serving.Result{Rsat: 0.9}, 0) {
-		t.Fatalf("default threshold broken")
-	}
-}
-
 func TestAdaptedSearcherWarmStart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")

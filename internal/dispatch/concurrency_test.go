@@ -44,9 +44,6 @@ func TestStateShardedConcurrency(t *testing.T) {
 			classes := []workload.Criticality{workload.ClassSheddable, workload.ClassStandard, workload.ClassCritical}
 			for round := 0; round < 50; round++ {
 				pol := kinds[round%len(kinds)].MustNew(types, rng)
-				if lc, ok := pol.(Lifecycle); ok {
-					lc.RunStart(s)
-				}
 				// A full little run: arrivals routed, busy instances
 				// completing and pulling queued work.
 				for i := 0; i < 200; i++ {
@@ -71,9 +68,6 @@ func TestStateShardedConcurrency(t *testing.T) {
 								continue
 							}
 							s.SetBusy(inst, false)
-							if lc, ok := pol.(Lifecycle); ok {
-								lc.QueryDone(i, inst, s)
-							}
 							if _, ok := pol.Next(inst, s); ok {
 								s.SetBusy(inst, true)
 							}

@@ -7,7 +7,7 @@
 // criticality-aware load shedder) open the routing dimension that production
 // inference gateways differentiate on.
 //
-// The contract has three parts:
+// The contract has two parts:
 //
 //   - State is the observable pool: per-instance busy flags and FIFO queues
 //     plus one shared priority-FIFO queue. The simulator owns all mutations
@@ -15,8 +15,6 @@
 //   - Policy routes queries: Pick places an arrival (assign / enqueue /
 //     shed), Next hands an instance that just went idle its next queued
 //     query.
-//   - Lifecycle is an optional extension for policies that need run-start or
-//     per-completion hooks.
 //
 // Policies must be deterministic: any randomness comes from the *stats.RNG
 // handed to Spec.New, which the simulator derives from the evaluation seed
@@ -79,16 +77,6 @@ type Policy interface {
 	// should serve, typically by popping one of s's queues; ok=false
 	// leaves the instance idle.
 	Next(inst int, s *State) (idx int, ok bool)
-}
-
-// Lifecycle is an optional Policy extension for per-run and per-completion
-// hooks.
-type Lifecycle interface {
-	// RunStart is called once before the first arrival of a run.
-	RunStart(s *State)
-	// QueryDone is called after the query with stream index idx finished
-	// on inst, before Next is consulted.
-	QueryDone(idx, inst int, s *State)
 }
 
 // NumRanks is the number of shared-queue priority levels; workload
@@ -291,18 +279,10 @@ type Spec struct {
 	// ShedQueueLength is the criticality policy's shed threshold;
 	// DefaultShedQueueLength when zero. Ignored by other kinds.
 	ShedQueueLength int
-	// Factory, when non-nil, overrides Kind with a custom policy
-	// constructor (see docs/dispatch.md). The pool is in dispatch
-	// preference order; rng is derived from the evaluation seed and the
-	// deployed configuration.
-	Factory func(pool []cloud.InstanceType, rng *stats.RNG) Policy
 }
 
 // Name returns the effective policy name for results and tables.
 func (sp Spec) Name() string {
-	if sp.Factory != nil {
-		return "custom"
-	}
 	if sp.Kind == "" {
 		return string(KindFCFS)
 	}
@@ -314,9 +294,6 @@ func (sp Spec) Validate() error {
 	if sp.ShedQueueLength < 0 {
 		return fmt.Errorf("dispatch: negative shed queue length %d", sp.ShedQueueLength)
 	}
-	if sp.Factory != nil {
-		return nil
-	}
 	switch sp.Kind {
 	case "", KindFCFS, KindLeastLoaded, KindCostRandom, KindCriticality:
 		return nil
@@ -324,13 +301,12 @@ func (sp Spec) Validate() error {
 	return fmt.Errorf("dispatch: unknown policy %q", sp.Kind)
 }
 
-// New builds a fresh Policy for one evaluation run over the deployed pool.
+// New builds a fresh Policy for one evaluation run over the deployed pool,
+// which is in dispatch preference order; rng is derived from the evaluation
+// seed and the deployed configuration.
 func (sp Spec) New(pool []cloud.InstanceType, rng *stats.RNG) (Policy, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
-	}
-	if sp.Factory != nil {
-		return sp.Factory(pool, rng), nil
 	}
 	switch sp.Kind {
 	case "", KindFCFS:

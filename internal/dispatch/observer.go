@@ -21,18 +21,12 @@ type Observer interface {
 }
 
 // Instrument wraps p so every Pick reports to o. A nil Observer returns p
-// unchanged, so call sites need no conditional. The wrapper preserves the
-// optional Lifecycle extension: a lifecycle-aware policy stays
-// lifecycle-aware through instrumentation.
+// unchanged, so call sites need no conditional.
 func Instrument(p Policy, o Observer) Policy {
 	if o == nil || p == nil {
 		return p
 	}
-	ip := instrumented{p: p, o: o}
-	if _, ok := p.(Lifecycle); ok {
-		return instrumentedLifecycle{ip}
-	}
-	return ip
+	return instrumented{p: p, o: o}
 }
 
 type instrumented struct {
@@ -50,11 +44,3 @@ func (ip instrumented) Pick(idx int, q workload.Query, s *State) Decision {
 }
 
 func (ip instrumented) Next(inst int, s *State) (int, bool) { return ip.p.Next(inst, s) }
-
-type instrumentedLifecycle struct{ instrumented }
-
-func (il instrumentedLifecycle) RunStart(s *State) { il.p.(Lifecycle).RunStart(s) }
-
-func (il instrumentedLifecycle) QueryDone(idx, inst int, s *State) {
-	il.p.(Lifecycle).QueryDone(idx, inst, s)
-}

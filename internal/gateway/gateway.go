@@ -74,8 +74,7 @@ type Options struct {
 	// plane, ProxyBackend for a real endpoint.
 	Backend Backend
 	// Dispatch selects the routing policy by the same spec the simulator
-	// uses. Factory overrides are not supported live (the live router is
-	// lock-free and cannot host the simulator's Policy state machines).
+	// uses.
 	Dispatch dispatch.Spec
 
 	// Initial, when non-nil, fixes the starting configuration (evaluated
@@ -237,9 +236,6 @@ func New(ctx context.Context, opts Options) (*Gateway, error) {
 	}
 	if opts.Backend == nil {
 		return nil, errors.New("gateway: nil backend")
-	}
-	if opts.Dispatch.Factory != nil {
-		return nil, errors.New("gateway: custom dispatch factories are not supported live")
 	}
 	kind := opts.Dispatch.Kind
 	if kind == "" {

@@ -59,7 +59,7 @@ func (g *Gateway) route(r *request) Outcome {
 // full.
 func (g *Gateway) place(p *pool, r *request) bool {
 	t0 := time.Now()
-	inst := g.pick(p, r)
+	inst := g.pick(p)
 	g.m.pickSeconds.Observe(time.Since(t0).Seconds())
 	if inst != nil && g.enqueue(inst, r) {
 		return true
@@ -76,37 +76,31 @@ func (g *Gateway) place(p *pool, r *request) bool {
 }
 
 // pick chooses the policy-preferred instance from the snapshot. A nil return
-// means the policy abstained and route's fallback scan decides.
-func (g *Gateway) pick(p *pool, r *request) *instance {
-	switch g.kind {
-	case dispatch.KindLeastLoaded:
-		return pickLeastLoaded(p)
-	case dispatch.KindCostRandom:
+// means the policy abstained and route's fallback scan decides. Every policy
+// but cost-random places by join-shortest-queue: for fcfs and criticality
+// the first idle instance in preference order is also the least-loaded one,
+// and under full load the live plane has no shared queue to park in, unlike
+// the simulator.
+func (g *Gateway) pick(p *pool) *instance {
+	if g.kind == dispatch.KindCostRandom {
 		if inst := g.pickCostRandom(p); inst != nil {
 			return inst
 		}
-		return pickLeastLoaded(p)
-	default:
-		// KindFCFS, and KindCriticality's placement half: first idle
-		// instance in preference order; under full load fall back to the
-		// least-loaded queue rather than the shared-FIFO head the
-		// simulator uses (a live plane has no global queue to park in).
-		for _, inst := range p.instances {
-			if inst.load() == 0 {
-				return inst
-			}
-		}
-		return pickLeastLoaded(p)
 	}
+	return pickLeastLoaded(p)
 }
 
 // pickLeastLoaded is join-shortest-queue over depth+inflight, preference
-// order breaking ties.
+// order breaking ties. The first idle instance wins outright, so an idle
+// pool costs one load read.
 func pickLeastLoaded(p *pool) *instance {
 	var best *instance
 	bestLoad := int64(0)
 	for _, inst := range p.instances {
 		l := inst.load()
+		if l == 0 {
+			return inst
+		}
 		if best == nil || l < bestLoad {
 			best, bestLoad = inst, l
 		}

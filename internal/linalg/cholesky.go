@@ -130,11 +130,6 @@ func (c *Cholesky) SolveVecInto(dst, b []float64) []float64 {
 	return dst
 }
 
-// ForwardSolve solves L y = b.
-func (c *Cholesky) ForwardSolve(b []float64) []float64 {
-	return c.ForwardSolveInto(make([]float64, c.n), b)
-}
-
 // ForwardSolveInto solves L y = b into dst (len Size, may alias b).
 func (c *Cholesky) ForwardSolveInto(dst, b []float64) []float64 {
 	if len(b) != c.n || len(dst) != c.n {
@@ -149,11 +144,6 @@ func (c *Cholesky) ForwardSolveInto(dst, b []float64) []float64 {
 		dst[i] = s / c.data[rowStart(i)+i]
 	}
 	return dst
-}
-
-// BackSolve solves L^T x = y.
-func (c *Cholesky) BackSolve(y []float64) []float64 {
-	return c.BackSolveInto(make([]float64, c.n), y)
 }
 
 // BackSolveInto solves L^T x = y into dst (len Size, may alias y).
@@ -180,23 +170,4 @@ func (c *Cholesky) LogDet() float64 {
 		s += math.Log(c.data[rowStart(i)+i])
 	}
 	return 2 * s
-}
-
-// SolveMatrix solves A X = B column by column.
-func (c *Cholesky) SolveMatrix(b *Matrix) *Matrix {
-	if b.Rows != c.n {
-		panic("linalg: SolveMatrix dimension mismatch")
-	}
-	out := NewMatrix(b.Rows, b.Cols)
-	col := make([]float64, c.n)
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < c.n; i++ {
-			col[i] = b.At(i, j)
-		}
-		x := c.SolveVec(col)
-		for i := 0; i < c.n; i++ {
-			out.Set(i, j, x[i])
-		}
-	}
-	return out
 }

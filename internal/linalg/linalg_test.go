@@ -167,33 +167,6 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	}
 }
 
-func TestCholeskySolveMatrixMatchesVec(t *testing.T) {
-	r := stats.Derive(13, "solvem")
-	n := 6
-	a := randomSPD(r, n)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewMatrix(n, 2)
-	for i := range b.Data {
-		b.Data[i] = r.NormFloat64()
-	}
-	x := ch.SolveMatrix(b)
-	for j := 0; j < 2; j++ {
-		col := make([]float64, n)
-		for i := 0; i < n; i++ {
-			col[i] = b.At(i, j)
-		}
-		xv := ch.SolveVec(col)
-		for i := 0; i < n; i++ {
-			if !almostEq(x.At(i, j), xv[i], 1e-10) {
-				t.Fatalf("SolveMatrix disagrees with SolveVec at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 // Property: for random SPD systems, the Cholesky solution satisfies A x = b.
 func TestCholeskySolveProperty(t *testing.T) {
 	r := stats.Derive(14, "prop")
@@ -236,10 +209,10 @@ func TestForwardBackSolveComposition(t *testing.T) {
 		b[i] = r.NormFloat64()
 	}
 	x1 := ch.SolveVec(b)
-	x2 := ch.BackSolve(ch.ForwardSolve(b))
+	x2 := ch.BackSolveInto(make([]float64, n), ch.ForwardSolveInto(make([]float64, n), b))
 	for i := range x1 {
 		if x1[i] != x2[i] {
-			t.Fatalf("SolveVec != BackSolve(ForwardSolve)")
+			t.Fatalf("SolveVec != BackSolveInto(ForwardSolveInto)")
 		}
 	}
 }

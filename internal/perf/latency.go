@@ -157,30 +157,3 @@ func ScoreInstances(m models.Profile, insts []cloud.InstanceType, batch int) []S
 	}
 	return out
 }
-
-// Capacity returns the approximate sustainable query rate (QPS) of a single
-// instance under the model's batch-size distribution, using the mean batch
-// size. The workload generator uses it to translate "the optimal homogeneous
-// pool needs N instances" into an arrival rate.
-func Capacity(m models.Profile, inst cloud.InstanceType) float64 {
-	mean := meanBatch(m.Batch)
-	b := int(math.Round(mean))
-	if b < 1 {
-		b = 1
-	}
-	if b > m.Batch.MaxBatch {
-		b = m.Batch.MaxBatch
-	}
-	return ThroughputQPS(m, inst, b)
-}
-
-// meanBatch approximates the mean of the clamped heavy-tail distribution by
-// its unclamped mixture mean, good enough for capacity planning.
-func meanBatch(b models.BatchParams) float64 {
-	body := math.Exp(b.Mu + b.Sigma*b.Sigma/2)
-	if b.TailProb == 0 {
-		return body
-	}
-	tail := b.TailScale * b.TailShape / (b.TailShape - 1)
-	return (1-b.TailProb)*body + b.TailProb*tail
-}

@@ -278,28 +278,3 @@ func TestBatchScalingPhysical(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCapacityPositiveAndPrimarySane(t *testing.T) {
-	for _, m := range models.Catalog() {
-		for _, inst := range cloud.Catalog() {
-			c := Capacity(m, inst)
-			if c <= 0 {
-				t.Errorf("%s on %s: capacity %g", m.Name, inst.Family, c)
-			}
-		}
-	}
-	// The default arrival rate must be servable by a small pool of the
-	// primary instance (the paper's experiments need ~5).
-	primary := map[string]string{
-		"CANDLE": "c5a", "ResNet50": "c5a", "VGG19": "c5a",
-		"MT-WND": "g4dn", "DIEN": "g4dn",
-	}
-	for name, fam := range primary {
-		m := models.MustLookup(name)
-		cap1 := Capacity(m, cloud.MustLookup(fam))
-		need := m.ArrivalRateQPS / cap1
-		if need < 2 || need > 12 {
-			t.Errorf("%s: default load needs %.1f %s instances, outside [2,12]", name, need, fam)
-		}
-	}
-}

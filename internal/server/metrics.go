@@ -38,12 +38,11 @@ type serverMetrics struct {
 	runsFinished *obs.CounterVec // {kind, status}
 	runsRunning  *obs.GaugeVec   // {kind}
 
-	// pick pre-resolves the built-in policy children so the per-query
-	// observer path does not take the family lock; pickVec covers custom
-	// policy names.
-	pick    map[string]*obs.Histogram
-	pickVec *obs.HistogramVec
-	shed    [dispatch.NumRanks]*obs.Counter
+	// pick pre-resolves one child per built-in policy, the only policies
+	// there are, so the per-query observer path does not take the family
+	// lock.
+	pick map[string]*obs.Histogram
+	shed [dispatch.NumRanks]*obs.Counter
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
@@ -62,14 +61,13 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		"Runs finished by kind and terminal status.", "kind", "status")
 	m.runsRunning = reg.GaugeVec("ribbon_server_runs_running",
 		"Runs currently executing on a worker, by kind.", "kind")
-	m.pickVec = reg.HistogramVec("ribbon_server_pick_seconds",
+	pick := reg.HistogramVec("ribbon_server_pick_seconds",
 		"Dispatch policy decision time in seconds, by policy.",
 		obs.ExpBuckets(1e-8, 4, 10), "policy")
 	m.pick = make(map[string]*obs.Histogram)
 	for _, k := range dispatch.Kinds() {
-		m.pick[string(k)] = m.pickVec.With(string(k))
+		m.pick[string(k)] = pick.With(string(k))
 	}
-	m.pick["custom"] = m.pickVec.With("custom")
 	shed := reg.CounterVec("ribbon_server_dispatch_shed_total",
 		"Queries shed by dispatch policies during evaluation, by tier.", "tier")
 	for r, tier := range tierNames {
@@ -80,11 +78,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 
 // ObservePick implements dispatch.Observer against the registry.
 func (m *serverMetrics) ObservePick(policy string, seconds float64, rank int, shed bool) {
-	h, ok := m.pick[policy]
-	if !ok {
-		h = m.pickVec.With(policy)
-	}
-	h.Observe(seconds)
+	m.pick[policy].Observe(seconds)
 	if shed && rank >= 0 && rank < len(m.shed) {
 		m.shed[rank].Inc()
 	}

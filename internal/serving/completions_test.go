@@ -1,4 +1,4 @@
-package sim
+package serving
 
 import (
 	"sort"
@@ -8,7 +8,7 @@ import (
 // The typed completion heap must order by (time, push order): the serving
 // simulator's bit-identical output depends on that contract.
 func TestCompletionHeapOrdering(t *testing.T) {
-	var q CompletionHeap
+	var q completionHeap
 	times := []float64{5, 1, 3, 1, 5, 2, 1}
 	for i, tm := range times {
 		q.Push(tm, int32(i), int32(i))
@@ -33,7 +33,7 @@ func TestCompletionHeapOrdering(t *testing.T) {
 
 // Randomized cross-check against a reference sort, including Reset reuse.
 func TestCompletionHeapMatchesReferenceSort(t *testing.T) {
-	var q CompletionHeap
+	var q completionHeap
 	for round := 0; round < 3; round++ {
 		q.Reset()
 		n := 200

@@ -3,10 +3,8 @@ package serving
 import (
 	"testing"
 
-	"ribbon/internal/cloud"
 	"ribbon/internal/dispatch"
 	"ribbon/internal/models"
-	"ribbon/internal/stats"
 	"ribbon/internal/workload"
 )
 
@@ -131,58 +129,6 @@ func TestLeastLoadedAbortsOnPressure(t *testing.T) {
 		t.Fatalf("backlog grew to %d despite limit 20", r.MaxQueueLen)
 	}
 }
-
-// A custom Policy plugs in through Spec.Factory: strict round-robin
-// assignment with a shared overflow queue.
-func TestCustomPolicyFactory(t *testing.T) {
-	spec := mtwndSpec(t)
-	rr := &roundRobin{}
-	opts := SimOptions{Queries: 1000, Seed: 5, Dispatch: dispatch.Spec{
-		Factory: func(pool []cloud.InstanceType, rng *stats.RNG) dispatch.Policy {
-			rr.n = 0
-			return rr
-		},
-	}}
-	r := NewSimEvaluator(spec, opts).Evaluate(Config{4, 2})
-	if r.Policy != "custom" {
-		t.Fatalf("Result.Policy = %q, want custom", r.Policy)
-	}
-	if !rr.started {
-		t.Fatalf("lifecycle RunStart hook never fired")
-	}
-	if rr.done == 0 {
-		t.Fatalf("lifecycle QueryDone hook never fired")
-	}
-	if r.Rsat <= 0 {
-		t.Fatalf("round-robin served nothing")
-	}
-}
-
-// roundRobin is the docs/dispatch.md example policy: strict rotation over
-// instances, shared FIFO overflow. It also records lifecycle calls.
-type roundRobin struct {
-	n       int
-	started bool
-	done    int
-}
-
-func (r *roundRobin) Name() string { return "round-robin" }
-
-func (r *roundRobin) RunStart(s *dispatch.State)            { r.started = true }
-func (r *roundRobin) QueryDone(_, _ int, _ *dispatch.State) { r.done++ }
-
-func (r *roundRobin) Pick(idx int, q workload.Query, s *dispatch.State) dispatch.Decision {
-	for k := 0; k < s.Instances(); k++ {
-		i := (r.n + k) % s.Instances()
-		if !s.Busy(i) {
-			r.n = i + 1
-			return dispatch.Assign(i)
-		}
-	}
-	return dispatch.EnqueueShared(0)
-}
-
-func (r *roundRobin) Next(inst int, s *dispatch.State) (int, bool) { return s.PopShared() }
 
 // An invalid dispatch spec is rejected at evaluator construction.
 func TestInvalidDispatchSpecPanics(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"ribbon/internal/cloud"
 	"ribbon/internal/dispatch"
 	"ribbon/internal/perf"
-	"ribbon/internal/sim"
 	"ribbon/internal/stats"
 	"ribbon/internal/workload"
 )
@@ -203,7 +202,7 @@ type evalScratch struct {
 	// rows[i] is the service-table row of deployed instance i's type.
 	rows  [][]float64
 	state *dispatch.State
-	heap  sim.CompletionHeap
+	heap  completionHeap
 }
 
 // arrivalOrder returns the stable arrival-time ordering of the queries, or
@@ -388,12 +387,8 @@ func (e *SimEvaluator) Evaluate(cfg Config) Result {
 	pol := dispatch.Instrument(e.opts.Dispatch.MustNew(types,
 		stats.Derive(e.opts.Seed, "dispatch", e.opts.Dispatch.Name(), spec.Model.Name, key)),
 		e.opts.Observer)
-	lc, hasLC := pol.(dispatch.Lifecycle)
 	pool := sc.state
 	pool.Reset(types)
-	if hasLC {
-		lc.RunStart(pool)
-	}
 
 	latencies := sc.latencies
 	shed := sc.shed
@@ -561,18 +556,12 @@ func (e *SimEvaluator) Evaluate(cfg Config) Result {
 				// window, but the instance stays dead.
 				now = c.Time
 				latencies[idx] = now - queries[idx].ArrivalMs
-				if hasLC {
-					lc.QueryDone(idx, inst, pool)
-				}
 				continue
 			}
 		}
 		now = c.Time
 		latencies[idx] = now - queries[idx].ArrivalMs
 		pool.SetBusy(inst, false)
-		if hasLC {
-			lc.QueryDone(idx, inst, pool)
-		}
 		if next, ok := pol.Next(inst, pool); ok {
 			assign(inst, next)
 		}

@@ -103,35 +103,3 @@ func (r *RNG) Pareto(xm, alpha float64) float64 {
 	}
 	return xm / math.Pow(u, 1/alpha)
 }
-
-// Poisson returns a sample from Poisson(lambda) using inversion for small
-// lambda and the PTRS transformed-rejection method's simple normal
-// approximation fallback for large lambda. Suitable for lambda up to ~1e7.
-func (r *RNG) Poisson(lambda float64) int {
-	if lambda < 0 {
-		panic("stats: Poisson requires lambda >= 0")
-	}
-	if lambda == 0 {
-		return 0
-	}
-	if lambda < 30 {
-		// Knuth inversion.
-		l := math.Exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.src.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	// Normal approximation with continuity correction; adequate for the
-	// load-level arithmetic this package serves.
-	n := math.Round(lambda + math.Sqrt(lambda)*r.src.NormFloat64())
-	if n < 0 {
-		return 0
-	}
-	return int(n)
-}

@@ -104,22 +104,6 @@ func TestParetoTail(t *testing.T) {
 	}
 }
 
-func TestPoissonSmallAndLarge(t *testing.T) {
-	r := Derive(1, "poisson")
-	for _, lambda := range []float64{0.5, 4, 25, 200} {
-		var s Summary
-		for i := 0; i < 100000; i++ {
-			s.Add(float64(r.Poisson(lambda)))
-		}
-		if rel := math.Abs(s.Mean()-lambda) / lambda; rel > 0.05 {
-			t.Fatalf("Poisson(%g) mean = %g", lambda, s.Mean())
-		}
-	}
-	if r.Poisson(0) != 0 {
-		t.Fatalf("Poisson(0) must be 0")
-	}
-}
-
 func TestHeavyTailLogNormalMeanAndTail(t *testing.T) {
 	d := HeavyTailLogNormal{Mu: 2.0, Sigma: 0.8, TailProb: 0.05, TailScale: 60, TailShape: 2.5}
 	r := Derive(1, "htln")

@@ -40,7 +40,7 @@ func collect(t *testing.T, s *Stream, scale float64) []Query {
 // TestEmitDeterminism: the emitted sequence is exactly the seeded stream —
 // same queries, same order, same classes — at any pacing, and two streams
 // from the same seed emit identical sequences. Timing is the only live
-// aspect of Emit; the gateway's byte-stable decision replay depends on it.
+// aspect of EmitScaled; the gateway's byte-stable decision replay depends on it.
 func TestEmitDeterminism(t *testing.T) {
 	s := emitStream(t, 7)
 
@@ -126,7 +126,7 @@ func TestEmitCancel(t *testing.T) {
 	}
 }
 
-// TestEmitCancelDuringPacing: cancellation lands while Emit sleeps toward a
+// TestEmitCancelDuringPacing: cancellation lands while EmitScaled sleeps toward a
 // far-future arrival — the pacing path, not the channel-send path TestEmitCancel
 // covers — and the sleeper wakes promptly instead of serving out the timer.
 func TestEmitCancelDuringPacing(t *testing.T) {
@@ -137,7 +137,7 @@ func TestEmitCancelDuringPacing(t *testing.T) {
 	ch := make(chan Query, len(s.Queries))
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
-	go func() { errc <- s.Emit(ctx, ch) }()
+	go func() { errc <- s.EmitScaled(ctx, ch, 1) }()
 	<-ch // query 0 is due immediately; the emitter now sleeps toward t=60s
 	cancel()
 	select {
@@ -146,7 +146,7 @@ func TestEmitCancelDuringPacing(t *testing.T) {
 			t.Fatalf("cancelled emit returned %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Emit kept sleeping after cancellation")
+		t.Fatal("EmitScaled kept sleeping after cancellation")
 	}
 	if len(ch) != 0 {
 		t.Fatalf("%d queries emitted after cancellation", len(ch))

@@ -82,10 +82,6 @@ type SearchOptions = core.Options
 // internal/dispatch and docs/dispatch.md.
 type DispatchSpec = dispatch.Spec
 
-// DispatchPolicy is the pluggable routing interface; implement it and set
-// DispatchSpec.Factory to route queries with custom logic.
-type DispatchPolicy = dispatch.Policy
-
 // DispatchObserver receives per-decision routing telemetry from every
 // evaluation a service runs (pick latency, sheds by criticality). Purely
 // passive: results are bit-identical with or without one. See
