@@ -228,7 +228,8 @@ func BenchmarkDispatchPick(b *testing.B) {
 		Mix: workload.ClassMix{Critical: 0.2, Standard: 0.6, Sheddable: 0.2}})
 	for _, kind := range dispatch.Kinds() {
 		b.Run(string(kind), func(b *testing.B) {
-			pol := dispatch.Spec{Kind: kind}.MustNew(types, stats.Derive(1, "bench", string(kind)))
+			pol := dispatch.Spec{Kind: kind}.MustNew(types)
+			rng := stats.Derive(1, "bench", string(kind))
 			st := dispatch.NewState(types)
 			for i := 0; i < len(types)/2; i++ { // half the pool is busy
 				st.SetBusy(i, true)
@@ -236,17 +237,17 @@ func BenchmarkDispatchPick(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := stream.Queries[i%len(stream.Queries)]
-				d := pol.Pick(i, q, st)
+				d := pol.Pick(q.Class, st, rng)
 				switch d.Action {
 				case dispatch.ActAssign:
 					// Keep pool occupancy steady: release the
 					// instance immediately.
 				case dispatch.ActEnqueueShared:
 					st.PushShared(i, d.Rank)
-					pol.Next(0, st)
+					st.Next(0)
 				case dispatch.ActEnqueueInstance:
 					st.PushInstance(d.Instance, i)
-					pol.Next(d.Instance, st)
+					st.Next(d.Instance)
 				}
 			}
 		})

@@ -68,7 +68,7 @@ func main() {
 		threshold   = flag.Float64("threshold", 0, "controller relative deviation threshold (0: default 0.25)")
 		adaptBudget = flag.Int("adapt-budget", 0, "controller re-search budget (0: default 16)")
 		timeScale   = flag.Float64("time-scale", 1, "stream-to-wall time compression for the simulated backend")
-		queueDepth  = flag.Int("queue-depth", 0, "per-instance per-rank queue bound (0: default 64)")
+		queueDepth  = flag.Int("queue-depth", 0, "bound of each instance FIFO and each shared-queue rank (0: default 64)")
 		maxBatch    = flag.Int("max-batch", 0, "max requests fused per backend call (0: no batching)")
 		batchWaitMs = flag.Float64("batch-timeout-ms", 0, "flush timeout for a partial batch, stream ms (0: default 2)")
 		warmupMs    = flag.Float64("warmup-ms", 0, "warm-up charge for instances added by a reconfiguration, stream ms")

@@ -10,11 +10,11 @@ import (
 	"ribbon/internal/workload"
 )
 
-// These tests lock in the two concurrency properties the gateway's sharded
-// hot path builds on. State is documented as single-owner, so the live data
-// plane either gives every shard its own State or serializes access behind a
-// lock; run under -race, the tests below fail if either pattern ever stops
-// being safe — e.g. if State or a Policy grows hidden shared mutable state.
+// These tests lock in the two concurrency properties of the package. State
+// is single-owner, so concurrent users either give every shard its own
+// State or serialize access behind a lock; run under -race, the tests below
+// fail if either pattern ever stops being safe — e.g. if State or a Policy
+// grows hidden shared mutable state.
 
 // TestStateShardedConcurrency drives one independent State (and one fresh
 // Policy of each built-in kind) per processor, all over the same shared
@@ -43,11 +43,11 @@ func TestStateShardedConcurrency(t *testing.T) {
 			rng := stats.Derive(42, "dispatch-test", fmt.Sprintf("%d", shard))
 			classes := []workload.Criticality{workload.ClassSheddable, workload.ClassStandard, workload.ClassCritical}
 			for round := 0; round < 50; round++ {
-				pol := kinds[round%len(kinds)].MustNew(types, rng)
+				pol := kinds[round%len(kinds)].MustNew(types)
 				// A full little run: arrivals routed, busy instances
 				// completing and pulling queued work.
 				for i := 0; i < 200; i++ {
-					d := pol.Pick(i, q(classes[i%len(classes)]), s)
+					d := pol.Pick(classes[i%len(classes)], s, rng)
 					switch d.Action {
 					case ActAssign:
 						if s.Busy(d.Instance) {
@@ -68,7 +68,7 @@ func TestStateShardedConcurrency(t *testing.T) {
 								continue
 							}
 							s.SetBusy(inst, false)
-							if _, ok := pol.Next(inst, s); ok {
+							if _, ok := s.Next(inst); ok {
 								s.SetBusy(inst, true)
 							}
 							break
@@ -138,11 +138,8 @@ func TestStateSerializedHammer(t *testing.T) {
 					}
 					pushed++
 				}
-				for p := 0; p < 2; p++ {
-					if idx, ok := s.PopShared(); ok {
-						popped[w] = append(popped[w], idx)
-					}
-					if idx, ok := s.PopInstance(w % len(types)); ok {
+				for p := 0; p < 4; p++ {
+					if idx, ok := s.Next(w % len(types)); ok {
 						popped[w] = append(popped[w], idx)
 					}
 				}
@@ -160,16 +157,9 @@ func TestStateSerializedHammer(t *testing.T) {
 
 	// Drain the remainder and account for every index exactly once.
 	rest := []int{}
-	for {
-		if idx, ok := s.PopShared(); ok {
-			rest = append(rest, idx)
-			continue
-		}
-		break
-	}
 	for i := 0; i < s.Instances(); i++ {
 		for {
-			idx, ok := s.PopInstance(i)
+			idx, ok := s.Next(i)
 			if !ok {
 				break
 			}

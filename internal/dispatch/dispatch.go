@@ -1,31 +1,35 @@
-// Package dispatch is the pluggable query-routing subsystem of the serving
-// pool: it decides, for every arriving query, which instance serves it, where
-// it waits, or whether it is shed. The paper's deployment hard-codes one rule
-// — first-come-first-serve to the first available instance in pool preference
-// order (Sec. 5.1) — which is exactly this package's default Policy; the
-// other built-in policies (least-loaded, cost-weighted random, and the
-// criticality-aware load shedder) open the routing dimension that production
-// inference gateways differentiate on.
+// Package dispatch is the query-routing engine of the serving pool, shared
+// by the offline simulator and the live gateway: it decides, for every
+// arriving query, which instance serves it, where it waits, or whether it is
+// shed. The paper's deployment hard-codes one rule — first-come-first-serve
+// to the first available instance in pool preference order (Sec. 5.1) —
+// which is this package's default Policy; the other built-in policies
+// (least-loaded, cost-weighted random, and the criticality-aware load
+// shedder) open the routing dimension that production inference gateways
+// differentiate on.
 //
-// The contract has two parts:
+// The contract has three parts:
 //
-//   - State is the observable pool: per-instance busy flags and FIFO queues
-//     plus one shared priority-FIFO queue. The simulator owns all mutations
-//     except the Pop* calls a Policy makes from Next.
-//   - Policy routes queries: Pick places an arrival (assign / enqueue /
-//     shed), Next hands an instance that just went idle its next queued
-//     query.
+//   - View is the pool as a policy reads it: instance count, busy flags,
+//     per-instance backlog and the pool-wide queued total.
+//   - Policy places arrivals: Pick assigns, enqueues or sheds one query over
+//     a View. Policies never mutate the pool.
+//   - The pool has one FIFO queue per instance plus one shared queue with
+//     NumRanks priority ranks, and an instance that goes idle serves its own
+//     queue first, then the shared queue by rank (State.Next). State is the
+//     simulator's single-owner realization; the gateway keeps the same
+//     queues with channels and serves them in the same order.
 //
-// Policies must be deterministic: any randomness comes from the *stats.RNG
-// handed to Spec.New, which the simulator derives from the evaluation seed
-// and the deployed configuration.
+// Policies are deterministic functions of the view and the random source
+// handed to Pick: the simulator derives that source from the evaluation seed
+// and the deployed configuration, the gateway from each request.
 package dispatch
 
 import (
 	"fmt"
+	"math/rand/v2"
 
 	"ribbon/internal/cloud"
-	"ribbon/internal/stats"
 	"ribbon/internal/workload"
 )
 
@@ -64,19 +68,29 @@ func EnqueueInstance(i int) Decision { return Decision{Action: ActEnqueueInstanc
 // Shed drops the query.
 func Shed() Decision { return Decision{Action: ActShed} }
 
-// Policy routes queries through the pool. Implementations may keep internal
-// state; the simulator constructs a fresh Policy per evaluation run (via
-// Spec.New), so state never leaks between configurations.
+// View is the read-only pool a Policy decides over. Instances are indexed in
+// dispatch preference order.
+type View interface {
+	// Instances returns the number of deployed instances.
+	Instances() int
+	// Busy reports whether instance i has work in hand.
+	Busy(i int) bool
+	// Load returns instance i's backlog: its own queue length plus one if
+	// busy. Join-shortest-queue minimizes it.
+	Load(i int) int
+	// TotalQueued returns the number of queries waiting anywhere in the
+	// pool, shared queue included: the queue-pressure signal load shedding
+	// reads.
+	TotalQueued() int
+}
+
+// Policy places arriving queries. A Policy is built per deployed pool (it
+// may precompute per-instance weights) and holds no mutable state, so one
+// value is safe for concurrent use.
 type Policy interface {
-	// Name identifies the policy in results and tables.
-	Name() string
-	// Pick places the arriving query. idx is the query's stream index —
-	// the token that travels through queues back to Next.
-	Pick(idx int, q workload.Query, s *State) Decision
-	// Next selects the queued query that the just-idled instance inst
-	// should serve, typically by popping one of s's queues; ok=false
-	// leaves the instance idle.
-	Next(inst int, s *State) (idx int, ok bool)
+	// Pick places an arriving query of class c on the pool v. Any
+	// randomness comes from rng.
+	Pick(c workload.Criticality, v View, rng rand.Source) Decision
 }
 
 // NumRanks is the number of shared-queue priority levels; workload
@@ -110,11 +124,11 @@ func (f *fifo) pop() (int, bool) {
 	return v, true
 }
 
-// State is the pool as a policy sees it: instance types, busy flags, one
-// shared priority-FIFO queue, and one FIFO queue per instance. The simulator
-// mutates it (SetBusy, Push*); policies read it and Pop* from Next.
+// State is the simulator's pool: busy flags, one shared priority-FIFO queue,
+// and one FIFO queue per instance. It implements View. The simulator owns
+// it: it flips busy flags around service, parks the queries a Policy
+// enqueues, and asks Next for an idle instance's next query.
 type State struct {
-	types   []cloud.InstanceType
 	busy    []bool
 	shared  [NumRanks]fifo
 	perInst []fifo
@@ -134,7 +148,6 @@ func NewState(types []cloud.InstanceType) *State {
 // allow. The simulator's per-evaluation arena depends on it: Evaluate runs
 // hundreds of times per search and must not rebuild queue storage each time.
 func (s *State) Reset(types []cloud.InstanceType) {
-	s.types = types
 	n := len(types)
 	if cap(s.busy) >= n {
 		s.busy = s.busy[:n]
@@ -161,10 +174,7 @@ func (s *State) Reset(types []cloud.InstanceType) {
 }
 
 // Instances returns the number of deployed instances.
-func (s *State) Instances() int { return len(s.types) }
-
-// Type returns the cloud instance type backing instance i.
-func (s *State) Type(i int) cloud.InstanceType { return s.types[i] }
+func (s *State) Instances() int { return len(s.busy) }
 
 // Busy reports whether instance i is serving a query.
 func (s *State) Busy(i int) bool { return s.busy[i] }
@@ -219,21 +229,15 @@ func (s *State) PushInstance(i, idx int) {
 	s.queued++
 }
 
-// PopShared removes and returns the highest-rank, oldest queued query from
-// the shared queue.
-func (s *State) PopShared() (int, bool) {
-	for r := NumRanks - 1; r >= 0; r-- {
-		if idx, ok := s.shared[r].pop(); ok {
-			s.queued--
-			return idx, true
+// Next removes and returns the query the just-idled instance i serves next:
+// the oldest in its own queue, else the highest-rank, oldest query in the
+// shared queue. ok=false leaves the instance idle.
+func (s *State) Next(i int) (idx int, ok bool) {
+	if idx, ok = s.perInst[i].pop(); !ok {
+		for r := NumRanks - 1; r >= 0 && !ok; r-- {
+			idx, ok = s.shared[r].pop()
 		}
 	}
-	return 0, false
-}
-
-// PopInstance removes and returns the oldest query in instance i's own queue.
-func (s *State) PopInstance(i int) (int, bool) {
-	idx, ok := s.perInst[i].pop()
 	if ok {
 		s.queued--
 	}
@@ -271,8 +275,9 @@ const DefaultShedQueueLength = 16
 
 // Spec selects and parameterizes a policy. It is a plain value — comparable,
 // serializable, and safe to copy — so it travels through ServiceConfig and
-// the control-plane DTOs; the simulator turns it into a live Policy per
-// evaluation run with New. The zero value is the paper's FCFS rule.
+// the control-plane DTOs; the simulator and the gateway turn it into a
+// Policy per deployed pool with New. The zero value is the paper's FCFS
+// rule.
 type Spec struct {
 	// Kind picks a built-in policy; empty means KindFCFS.
 	Kind Kind
@@ -301,10 +306,9 @@ func (sp Spec) Validate() error {
 	return fmt.Errorf("dispatch: unknown policy %q", sp.Kind)
 }
 
-// New builds a fresh Policy for one evaluation run over the deployed pool,
-// which is in dispatch preference order; rng is derived from the evaluation
-// seed and the deployed configuration.
-func (sp Spec) New(pool []cloud.InstanceType, rng *stats.RNG) (Policy, error) {
+// New builds the Policy for a deployed pool, which is in dispatch preference
+// order.
+func (sp Spec) New(pool []cloud.InstanceType) (Policy, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
@@ -314,7 +318,7 @@ func (sp Spec) New(pool []cloud.InstanceType, rng *stats.RNG) (Policy, error) {
 	case KindLeastLoaded:
 		return leastLoadedPolicy{}, nil
 	case KindCostRandom:
-		return newCostRandomPolicy(pool, rng), nil
+		return newCostRandomPolicy(pool), nil
 	case KindCriticality:
 		shed := sp.ShedQueueLength
 		if shed == 0 {
@@ -327,8 +331,8 @@ func (sp Spec) New(pool []cloud.InstanceType, rng *stats.RNG) (Policy, error) {
 
 // MustNew is New but panics on an invalid spec; for internal call sites that
 // validated the spec at the API boundary.
-func (sp Spec) MustNew(pool []cloud.InstanceType, rng *stats.RNG) Policy {
-	p, err := sp.New(pool, rng)
+func (sp Spec) MustNew(pool []cloud.InstanceType) Policy {
+	p, err := sp.New(pool)
 	if err != nil {
 		panic(err)
 	}

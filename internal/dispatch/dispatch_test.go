@@ -21,10 +21,6 @@ func pool(t *testing.T, fams ...string) []cloud.InstanceType {
 	return out
 }
 
-func q(class workload.Criticality) workload.Query {
-	return workload.Query{Batch: 1, Class: class}
-}
-
 func TestSpecValidate(t *testing.T) {
 	for _, sp := range []Spec{
 		{},
@@ -43,7 +39,7 @@ func TestSpecValidate(t *testing.T) {
 	if err := (Spec{ShedQueueLength: -1}).Validate(); err == nil {
 		t.Errorf("accepted negative shed threshold")
 	}
-	if _, err := (Spec{Kind: "nope"}).New(nil, nil); err == nil {
+	if _, err := (Spec{Kind: "nope"}).New(nil); err == nil {
 		t.Errorf("New accepted unknown kind")
 	}
 }
@@ -65,20 +61,20 @@ func TestSpecName(t *testing.T) {
 func TestFCFSPrefersPoolOrder(t *testing.T) {
 	types := pool(t, "g4dn", "c5", "t3")
 	s := NewState(types)
-	p := Spec{}.MustNew(types, nil)
+	p := Spec{}.MustNew(types)
 
-	d := p.Pick(0, q(""), s)
+	d := p.Pick("", s, nil)
 	if d.Action != ActAssign || d.Instance != 0 {
 		t.Fatalf("first arrival must assign instance 0, got %+v", d)
 	}
 	s.SetBusy(0, true)
-	d = p.Pick(1, q(""), s)
+	d = p.Pick("", s, nil)
 	if d.Action != ActAssign || d.Instance != 1 {
 		t.Fatalf("second arrival must assign instance 1, got %+v", d)
 	}
 	s.SetBusy(1, true)
 	s.SetBusy(2, true)
-	d = p.Pick(2, q(""), s)
+	d = p.Pick("", s, nil)
 	if d.Action != ActEnqueueShared || d.Rank != 0 {
 		t.Fatalf("saturated pool must enqueue shared at rank 0, got %+v", d)
 	}
@@ -87,16 +83,15 @@ func TestFCFSPrefersPoolOrder(t *testing.T) {
 func TestFCFSNextIsSharedFIFO(t *testing.T) {
 	types := pool(t, "g4dn", "t3")
 	s := NewState(types)
-	p := Spec{Kind: KindFCFS}.MustNew(types, nil)
 	s.PushShared(7, 0)
 	s.PushShared(8, 0)
-	if idx, ok := p.Next(1, s); !ok || idx != 7 {
+	if idx, ok := s.Next(1); !ok || idx != 7 {
 		t.Fatalf("Next = %d,%v want 7,true", idx, ok)
 	}
-	if idx, ok := p.Next(0, s); !ok || idx != 8 {
+	if idx, ok := s.Next(0); !ok || idx != 8 {
 		t.Fatalf("Next = %d,%v want 8,true", idx, ok)
 	}
-	if _, ok := p.Next(0, s); ok {
+	if _, ok := s.Next(0); ok {
 		t.Fatalf("empty queue must leave the instance idle")
 	}
 }
@@ -104,34 +99,34 @@ func TestFCFSNextIsSharedFIFO(t *testing.T) {
 func TestLeastLoadedJoinsShortestQueue(t *testing.T) {
 	types := pool(t, "g4dn", "c5")
 	s := NewState(types)
-	p := Spec{Kind: KindLeastLoaded}.MustNew(types, nil)
+	p := Spec{Kind: KindLeastLoaded}.MustNew(types)
 
 	// Both idle: tie broken by pool order.
-	if d := p.Pick(0, q(""), s); d.Action != ActAssign || d.Instance != 0 {
+	if d := p.Pick("", s, nil); d.Action != ActAssign || d.Instance != 0 {
 		t.Fatalf("tie must assign instance 0, got %+v", d)
 	}
 	s.SetBusy(0, true)
-	if d := p.Pick(1, q(""), s); d.Action != ActAssign || d.Instance != 1 {
+	if d := p.Pick("", s, nil); d.Action != ActAssign || d.Instance != 1 {
 		t.Fatalf("idle instance 1 must win, got %+v", d)
 	}
 	s.SetBusy(1, true)
 	// Both busy, equal load: enqueue at 0; then 0 is longer, enqueue at 1.
-	d := p.Pick(2, q(""), s)
+	d := p.Pick("", s, nil)
 	if d.Action != ActEnqueueInstance || d.Instance != 0 {
 		t.Fatalf("equal backlog must queue at instance 0, got %+v", d)
 	}
 	s.PushInstance(0, 2)
-	d = p.Pick(3, q(""), s)
+	d = p.Pick("", s, nil)
 	if d.Action != ActEnqueueInstance || d.Instance != 1 {
 		t.Fatalf("instance 1 has the shorter queue, got %+v", d)
 	}
 	s.PushInstance(1, 3)
 
 	// Each instance drains only its own queue.
-	if idx, ok := p.Next(1, s); !ok || idx != 3 {
+	if idx, ok := s.Next(1); !ok || idx != 3 {
 		t.Fatalf("Next(1) = %d,%v want 3,true", idx, ok)
 	}
-	if idx, ok := p.Next(0, s); !ok || idx != 2 {
+	if idx, ok := s.Next(0); !ok || idx != 2 {
 		t.Fatalf("Next(0) = %d,%v want 2,true", idx, ok)
 	}
 }
@@ -141,11 +136,12 @@ func TestCostRandomFavorsCheapInstances(t *testing.T) {
 	// the cheap instance roughly 0.526/(0.526+0.1664) ~ 76% of the time.
 	types := pool(t, "g4dn", "t3")
 	s := NewState(types)
-	p := Spec{Kind: KindCostRandom}.MustNew(types, stats.Derive(1, "test", "cost-random"))
+	p := Spec{Kind: KindCostRandom}.MustNew(types)
+	rng := stats.Derive(1, "test", "cost-random")
 	counts := map[int]int{}
 	const n = 20000
 	for i := 0; i < n; i++ {
-		d := p.Pick(i, q(""), s)
+		d := p.Pick("", s, rng)
 		if d.Action != ActAssign {
 			t.Fatalf("idle pool must assign, got %+v", d)
 		}
@@ -159,12 +155,12 @@ func TestCostRandomFavorsCheapInstances(t *testing.T) {
 	// Busy instances never picked; saturated pool enqueues shared.
 	s.SetBusy(1, true)
 	for i := 0; i < 100; i++ {
-		if d := p.Pick(i, q(""), s); d.Action != ActAssign || d.Instance != 0 {
+		if d := p.Pick("", s, rng); d.Action != ActAssign || d.Instance != 0 {
 			t.Fatalf("only instance 0 is idle, got %+v", d)
 		}
 	}
 	s.SetBusy(0, true)
-	if d := p.Pick(0, q(""), s); d.Action != ActEnqueueShared {
+	if d := p.Pick("", s, rng); d.Action != ActEnqueueShared {
 		t.Fatalf("saturated pool must enqueue, got %+v", d)
 	}
 }
@@ -172,10 +168,10 @@ func TestCostRandomFavorsCheapInstances(t *testing.T) {
 func TestCriticalityPriorityAndShedding(t *testing.T) {
 	types := pool(t, "g4dn", "t3")
 	s := NewState(types)
-	p := Spec{Kind: KindCriticality, ShedQueueLength: 2}.MustNew(types, nil)
+	p := Spec{Kind: KindCriticality, ShedQueueLength: 2}.MustNew(types)
 
 	// Idle pool: assignment follows preference order regardless of class.
-	if d := p.Pick(0, q(workload.ClassSheddable), s); d.Action != ActAssign || d.Instance != 0 {
+	if d := p.Pick(workload.ClassSheddable, s, nil); d.Action != ActAssign || d.Instance != 0 {
 		t.Fatalf("idle pool must assign, got %+v", d)
 	}
 	s.SetBusy(0, true)
@@ -190,7 +186,7 @@ func TestCriticalityPriorityAndShedding(t *testing.T) {
 		{"", 1}, // legacy empty class is Standard
 		{workload.ClassCritical, 2},
 	} {
-		d := p.Pick(i, q(tc.class), s)
+		d := p.Pick(tc.class, s, nil)
 		if d.Action != ActEnqueueShared || d.Rank != tc.rank {
 			t.Fatalf("class %q: got %+v, want shared rank %d", tc.class, d, tc.rank)
 		}
@@ -199,17 +195,17 @@ func TestCriticalityPriorityAndShedding(t *testing.T) {
 
 	// Backlog is now 3 >= threshold 2: sheddable arrivals are dropped,
 	// critical and standard still queue.
-	if d := p.Pick(9, q(workload.ClassSheddable), s); d.Action != ActShed {
+	if d := p.Pick(workload.ClassSheddable, s, nil); d.Action != ActShed {
 		t.Fatalf("sheddable under pressure must shed, got %+v", d)
 	}
-	if d := p.Pick(10, q(workload.ClassStandard), s); d.Action != ActEnqueueShared {
+	if d := p.Pick(workload.ClassStandard, s, nil); d.Action != ActEnqueueShared {
 		t.Fatalf("standard must still enqueue, got %+v", d)
 	}
 
 	// Drain order is class priority, FIFO within class: critical(2),
 	// standard(1), sheddable(0).
 	for _, want := range []int{2, 1, 0} {
-		idx, ok := p.Next(0, s)
+		idx, ok := s.Next(0)
 		if !ok || idx != want {
 			t.Fatalf("Next = %d,%v want %d,true", idx, ok, want)
 		}
@@ -222,9 +218,6 @@ func TestStateAccounting(t *testing.T) {
 	if s.Instances() != 2 || s.TotalQueued() != 0 {
 		t.Fatalf("fresh state: %d instances, %d queued", s.Instances(), s.TotalQueued())
 	}
-	if s.Type(0).Family != "g4dn" || s.Type(1).Family != "t3" {
-		t.Fatalf("types not preserved in order")
-	}
 	s.PushShared(1, 5) // rank clamped to NumRanks-1
 	s.PushShared(2, -3)
 	s.PushInstance(0, 3)
@@ -235,11 +228,13 @@ func TestStateAccounting(t *testing.T) {
 	if s.Load(0) != 2 || s.Load(1) != 0 {
 		t.Fatalf("Load = %d,%d", s.Load(0), s.Load(1))
 	}
-	if idx, ok := s.PopShared(); !ok || idx != 1 {
-		t.Fatalf("clamped high rank must pop first, got %d,%v", idx, ok)
+	// An idle instance serves its own queue before the shared one, and the
+	// shared queue by rank.
+	if idx, ok := s.Next(0); !ok || idx != 3 {
+		t.Fatalf("own queue must pop first, got %d,%v", idx, ok)
 	}
-	if idx, ok := s.PopInstance(0); !ok || idx != 3 {
-		t.Fatalf("PopInstance = %d,%v", idx, ok)
+	if idx, ok := s.Next(0); !ok || idx != 1 {
+		t.Fatalf("clamped high rank must pop next, got %d,%v", idx, ok)
 	}
 	if s.TotalQueued() != 1 {
 		t.Fatalf("TotalQueued = %d after pops", s.TotalQueued())

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"math/rand/v2"
 	"time"
 
 	"ribbon/internal/workload"
@@ -20,27 +21,24 @@ type Observer interface {
 	ObservePick(policy string, seconds float64, rank int, shed bool)
 }
 
-// Instrument wraps p so every Pick reports to o. A nil Observer returns p
-// unchanged, so call sites need no conditional.
-func Instrument(p Policy, o Observer) Policy {
+// Instrument wraps p so every Pick reports to o under the policy name. A nil
+// Observer returns p unchanged, so call sites need no conditional.
+func Instrument(p Policy, name string, o Observer) Policy {
 	if o == nil || p == nil {
 		return p
 	}
-	return instrumented{p: p, o: o}
+	return instrumented{p: p, name: name, o: o}
 }
 
 type instrumented struct {
-	p Policy
-	o Observer
+	p    Policy
+	name string
+	o    Observer
 }
 
-func (ip instrumented) Name() string { return ip.p.Name() }
-
-func (ip instrumented) Pick(idx int, q workload.Query, s *State) Decision {
+func (ip instrumented) Pick(c workload.Criticality, v View, rng rand.Source) Decision {
 	t0 := time.Now()
-	d := ip.p.Pick(idx, q, s)
-	ip.o.ObservePick(ip.p.Name(), time.Since(t0).Seconds(), q.Class.Rank(), d.Action == ActShed)
+	d := ip.p.Pick(c, v, rng)
+	ip.o.ObservePick(ip.name, time.Since(t0).Seconds(), c.Rank(), d.Action == ActShed)
 	return d
 }
-
-func (ip instrumented) Next(inst int, s *State) (int, bool) { return ip.p.Next(inst, s) }

@@ -1,8 +1,9 @@
 package dispatch
 
 import (
+	"math/rand/v2"
+
 	"ribbon/internal/cloud"
-	"ribbon/internal/stats"
 	"ribbon/internal/workload"
 )
 
@@ -13,18 +14,33 @@ import (
 // bit-for-bit.
 type fcfsPolicy struct{}
 
-func (fcfsPolicy) Name() string { return string(KindFCFS) }
-
-func (fcfsPolicy) Pick(idx int, q workload.Query, s *State) Decision {
-	for i := 0; i < s.Instances(); i++ {
-		if !s.Busy(i) {
-			return Assign(i)
-		}
+func (fcfsPolicy) Pick(c workload.Criticality, v View, rng rand.Source) Decision {
+	if i := firstIdle(v); i >= 0 {
+		return Assign(i)
 	}
 	return EnqueueShared(0)
 }
 
-func (fcfsPolicy) Next(inst int, s *State) (int, bool) { return s.PopShared() }
+// firstIdle returns the first idle instance in preference order, -1 when
+// every instance is busy.
+func firstIdle(v View) int {
+	if s, ok := v.(*State); ok {
+		// The simulator's path, once per arrival of every evaluation: the
+		// same scan without an interface call per instance.
+		for i, busy := range s.busy {
+			if !busy {
+				return i
+			}
+		}
+		return -1
+	}
+	for i, n := 0, v.Instances(); i < n; i++ {
+		if !v.Busy(i) {
+			return i
+		}
+	}
+	return -1
+}
 
 // leastLoadedPolicy is join-shortest-queue: every arrival goes to the
 // instance with the smallest backlog (queue length plus the query in
@@ -32,33 +48,28 @@ func (fcfsPolicy) Next(inst int, s *State) (int, bool) { return s.PopShared() }
 // an instance only drains its own queue.
 type leastLoadedPolicy struct{}
 
-func (leastLoadedPolicy) Name() string { return string(KindLeastLoaded) }
-
-func (leastLoadedPolicy) Pick(idx int, q workload.Query, s *State) Decision {
-	best := 0
-	for i := 1; i < s.Instances(); i++ {
-		if s.Load(i) < s.Load(best) {
-			best = i
+func (leastLoadedPolicy) Pick(c workload.Criticality, v View, rng rand.Source) Decision {
+	best, bestLoad := 0, v.Load(0)
+	for i, n := 1, v.Instances(); i < n; i++ {
+		if l := v.Load(i); l < bestLoad {
+			best, bestLoad = i, l
 		}
 	}
-	if !s.Busy(best) {
+	if !v.Busy(best) {
 		return Assign(best)
 	}
 	return EnqueueInstance(best)
 }
 
-func (leastLoadedPolicy) Next(inst int, s *State) (int, bool) { return s.PopInstance(inst) }
-
 // costRandomPolicy assigns each arrival to a random idle instance with
 // probability proportional to inverse price, spreading load toward cheap
 // instances without starving expensive ones; when every instance is busy the
-// query joins a shared FIFO queue. The weights are precomputed per run.
+// query joins a shared FIFO queue. The weights are precomputed per pool.
 type costRandomPolicy struct {
 	weights []float64 // 1/price per instance
-	rng     *stats.RNG
 }
 
-func newCostRandomPolicy(pool []cloud.InstanceType, rng *stats.RNG) *costRandomPolicy {
+func newCostRandomPolicy(pool []cloud.InstanceType) *costRandomPolicy {
 	w := make([]float64, len(pool))
 	for i, t := range pool {
 		// Guard degenerate zero-price catalog entries; equal weight.
@@ -68,24 +79,25 @@ func newCostRandomPolicy(pool []cloud.InstanceType, rng *stats.RNG) *costRandomP
 			w[i] = 1
 		}
 	}
-	return &costRandomPolicy{weights: w, rng: rng}
+	return &costRandomPolicy{weights: w}
 }
 
-func (*costRandomPolicy) Name() string { return string(KindCostRandom) }
-
-func (p *costRandomPolicy) Pick(idx int, q workload.Query, s *State) Decision {
+func (p *costRandomPolicy) Pick(c workload.Criticality, v View, rng rand.Source) Decision {
+	n := v.Instances()
 	total := 0.0
-	for i := 0; i < s.Instances(); i++ {
-		if !s.Busy(i) {
+	for i := 0; i < n; i++ {
+		if !v.Busy(i) {
 			total += p.weights[i]
 		}
 	}
 	if total == 0 {
 		return EnqueueShared(0)
 	}
-	u := p.rng.Float64() * total
-	for i := 0; i < s.Instances(); i++ {
-		if s.Busy(i) {
+	// The [0, 1) mapping of rand.Rand.Float64, so a *stats.RNG source draws
+	// exactly what its Float64 would.
+	u := float64(rng.Uint64()<<11>>11) / (1 << 53) * total
+	for i := 0; i < n; i++ {
+		if v.Busy(i) {
 			continue
 		}
 		u -= p.weights[i]
@@ -94,15 +106,13 @@ func (p *costRandomPolicy) Pick(idx int, q workload.Query, s *State) Decision {
 		}
 	}
 	// Float round-off exhausted u on the last idle instance.
-	for i := s.Instances() - 1; i >= 0; i-- {
-		if !s.Busy(i) {
+	for i := n - 1; i >= 0; i-- {
+		if !v.Busy(i) {
 			return Assign(i)
 		}
 	}
 	return EnqueueShared(0)
 }
-
-func (p *costRandomPolicy) Next(inst int, s *State) (int, bool) { return s.PopShared() }
 
 // criticalityPolicy differentiates the InferencePool-style service classes:
 // assignment follows pool preference order like FCFS, but the shared queue is
@@ -113,18 +123,12 @@ type criticalityPolicy struct {
 	shedAt int
 }
 
-func (criticalityPolicy) Name() string { return string(KindCriticality) }
-
-func (p criticalityPolicy) Pick(idx int, q workload.Query, s *State) Decision {
-	for i := 0; i < s.Instances(); i++ {
-		if !s.Busy(i) {
-			return Assign(i)
-		}
+func (p criticalityPolicy) Pick(c workload.Criticality, v View, rng rand.Source) Decision {
+	if i := firstIdle(v); i >= 0 {
+		return Assign(i)
 	}
-	if q.Class.Normalize() == workload.ClassSheddable && s.TotalQueued() >= p.shedAt {
+	if c.Normalize() == workload.ClassSheddable && v.TotalQueued() >= p.shedAt {
 		return Shed()
 	}
-	return EnqueueShared(q.Class.Rank())
+	return EnqueueShared(c.Rank())
 }
-
-func (criticalityPolicy) Next(inst int, s *State) (int, bool) { return s.PopShared() }

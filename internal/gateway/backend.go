@@ -98,24 +98,29 @@ func (s *SimBackend) Serve(ctx context.Context, t cloud.InstanceType, b *Batch) 
 	if scale == 0 {
 		scale = 1
 	}
-	if err := sleepFor(ctx, time.Duration(ms*scale*float64(time.Millisecond))); err != nil {
+	if err := sleepFor(ctx, time.Duration(ms*scale*float64(time.Millisecond)), scale); err != nil {
 		return ms, err
 	}
 	return ms, nil
 }
 
-// sleepFor sleeps d with sub-millisecond precision: a coarse timer for the
-// bulk and a short spin for the remainder, so heavily time-compressed floods
-// (service times below the platform timer resolution) do not systematically
-// under-drive the pool. The spin budget is deliberately small: every live
-// worker pays it per served batch, and a compressed flood runs thousands of
-// batches per wall second — a generous spin would burn more cores than the
-// simulated pool has.
-func sleepFor(ctx context.Context, d time.Duration) error {
+// sleepFor sleeps d. Under compressed stream time (scale below 1) it keeps
+// sub-millisecond precision: a coarse timer for the bulk and a short spin
+// for the remainder, so heavily time-compressed floods (service times below
+// the platform timer resolution) do not systematically under-drive the
+// pool. The spin budget is deliberately small: every live worker pays it per
+// served batch, and a compressed flood runs thousands of batches per wall
+// second — a generous spin would burn more cores than the simulated pool
+// has. At scale 1 or above the timer alone sleeps: a fake clock (a
+// testing/synctest bubble) does not advance while a goroutine spins.
+func sleepFor(ctx context.Context, d time.Duration, scale float64) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
-	const spin = 100 * time.Microsecond
+	spin := time.Duration(0)
+	if scale < 1 {
+		spin = 100 * time.Microsecond
+	}
 	due := time.Now().Add(d)
 	if d > spin {
 		t := time.NewTimer(d - spin)

@@ -1,14 +1,16 @@
 // Package gateway is Ribbon's live serving data plane: an ingress that
 // admits inference requests, classifies them by criticality, routes them to
-// a heterogeneous pool of backend instances under the same dispatch-policy
-// vocabulary the offline simulator searches over (internal/dispatch), and
-// streams every measured arrival into the continuous controller
-// (internal/controller) so the pool it serves on is the pool the optimizer
-// would pick for the load it is actually receiving.
+// a heterogeneous pool of backend instances with the same dispatch policies
+// the offline simulator evaluates (internal/dispatch), and streams every
+// measured arrival into the continuous controller (internal/controller) so
+// the pool it serves on is the pool the optimizer would pick for the load
+// it is actually receiving.
 //
 // The dispatch hot path is lock-free: the live instance set is an immutable
-// snapshot behind one atomic pointer, each instance owns bounded per-rank
-// queues (criticality = queue priority), and all counters are atomics.
+// snapshot behind one atomic pointer that the policy reads as its
+// dispatch.View, each instance owns one bounded FIFO, the pool shares one
+// bounded queue per criticality rank (criticality = queue priority), and
+// all counters are atomics.
 // Reconfigurations install a new snapshot and drain-then-retire the
 // instances that fell out of it; admitted requests are never dropped by a
 // pool change. Requests themselves are pooled, so steady-state ingest
@@ -30,6 +32,7 @@ import (
 	"time"
 
 	"ribbon/internal/chaos"
+	"ribbon/internal/cloud"
 	"ribbon/internal/controller"
 	"ribbon/internal/core"
 	"ribbon/internal/dispatch"
@@ -48,7 +51,7 @@ const (
 	OutcomeQueued Outcome = iota
 	// OutcomeShed: dropped by the criticality policy under queue pressure.
 	OutcomeShed
-	// OutcomeRejected: refused — every queue full, or no live pool.
+	// OutcomeRejected: refused — the chosen queue full, or no live pool.
 	OutcomeRejected
 )
 
@@ -74,7 +77,7 @@ type Options struct {
 	// plane, ProxyBackend for a real endpoint.
 	Backend Backend
 	// Dispatch selects the routing policy by the same spec the simulator
-	// uses.
+	// uses; the live plane runs the simulator's Pick on every arrival.
 	Dispatch dispatch.Spec
 
 	// Initial, when non-nil, fixes the starting configuration (evaluated
@@ -110,12 +113,14 @@ type Options struct {
 	// with Controller set.
 	UseSpot bool
 
-	// Seed derives the router's randomized choices (cost-random policy).
+	// Seed derives the router's randomized choices (cost-random policy),
+	// together with each request's arrival time and ingress ordinal.
 	Seed uint64
 	// TimeScale compresses stream time into wall time (see SimBackend);
 	// 1 when zero. The flood drivers run at 0.02–0.1.
 	TimeScale float64
-	// QueueDepth bounds each instance's per-rank queue; 64 when zero.
+	// QueueDepth bounds each instance's FIFO and each rank of the shared
+	// queue; 64 when zero. A full queue rejects the arrival.
 	QueueDepth int
 	// MaxBatch fuses up to this many queued requests into one backend
 	// call; 1 (no batching — simulator parity) when zero.
@@ -161,12 +166,11 @@ type Gateway struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	spec    serving.PoolSpec
-	backend Backend
-	kind    dispatch.Kind
-	shedAt  int
-	qosMs   float64
-	seed    uint64
+	spec     serving.PoolSpec
+	backend  Backend
+	dispatch dispatch.Spec
+	qosMs    float64
+	seed     uint64
 
 	timeScale      float64
 	queueDepth     int
@@ -181,6 +185,12 @@ type Gateway struct {
 	pool        atomic.Pointer[pool]
 	totalQueued atomic.Int64
 	nextInstID  atomic.Int64
+
+	// shared is the pool-wide queue, one bounded FIFO per criticality rank.
+	// It outlives snapshots: live workers take from it between batches,
+	// and sharedLen publishes its length to the idle-worker handoff.
+	shared    [dispatch.NumRanks]chan *request
+	sharedLen atomic.Int64
 
 	// Chaos-injection state. chaosNextBits holds the next scheduled event
 	// time (math.Float64bits, +Inf when exhausted) so the ingest hot path
@@ -203,9 +213,6 @@ type Gateway struct {
 	m      metrics
 	traces *obs.TraceRing
 	reqs   sync.Pool
-	rngs   sync.Pool
-
-	nextRNG atomic.Uint64
 
 	// epoch anchors stream time to wall time: stream now =
 	// (wall - epoch) / timeScale. It is aligned on the first ingest so the
@@ -237,21 +244,8 @@ func New(ctx context.Context, opts Options) (*Gateway, error) {
 	if opts.Backend == nil {
 		return nil, errors.New("gateway: nil backend")
 	}
-	kind := opts.Dispatch.Kind
-	if kind == "" {
-		kind = dispatch.KindFCFS
-	}
-	switch kind {
-	case dispatch.KindFCFS, dispatch.KindLeastLoaded, dispatch.KindCostRandom, dispatch.KindCriticality:
-	default:
-		return nil, fmt.Errorf("gateway: unknown dispatch kind %q", kind)
-	}
-	shedAt := opts.Dispatch.ShedQueueLength
-	if shedAt == 0 {
-		shedAt = dispatch.DefaultShedQueueLength
-	}
-	if shedAt < 0 {
-		return nil, errors.New("gateway: negative shed queue length")
+	if err := opts.Dispatch.Validate(); err != nil {
+		return nil, fmt.Errorf("gateway: %w", err)
 	}
 	timeScale := opts.TimeScale
 	if timeScale == 0 {
@@ -298,8 +292,7 @@ func New(ctx context.Context, opts Options) (*Gateway, error) {
 		cancel:         cancel,
 		spec:           opts.Spec,
 		backend:        opts.Backend,
-		kind:           kind,
-		shedAt:         shedAt,
+		dispatch:       opts.Dispatch,
 		qosMs:          opts.Spec.Model.QoSLatencyMs,
 		seed:           opts.Seed,
 		timeScale:      timeScale,
@@ -307,6 +300,9 @@ func New(ctx context.Context, opts Options) (*Gateway, error) {
 		maxBatch:       maxBatch,
 		batchTimeoutMs: batchTimeout,
 		warmupMs:       opts.WarmupMs,
+	}
+	for rank := range g.shared {
+		g.shared[rank] = make(chan *request, queueDepth)
 	}
 
 	if opts.Chaos != nil {
@@ -331,7 +327,7 @@ func New(ctx context.Context, opts Options) (*Gateway, error) {
 	if auditCap == 0 {
 		auditCap = 512
 	}
-	g.m.init(reg, string(kind), opts.Logger, auditCap)
+	g.m.init(reg, opts.Dispatch.Name(), opts.Logger, auditCap)
 	if opts.TraceCapacity >= 0 {
 		g.traces = obs.NewTraceRing(opts.TraceCapacity, opts.TraceSampleEvery)
 	}
@@ -530,7 +526,7 @@ func (g *Gateway) spawn(cfg serving.Config, warmupMs float64) *pool {
 // grow builds a snapshot realizing cfg, reusing as many instances from prev
 // as the new counts allow (oldest kept first) and spawning the rest.
 func (g *Gateway) grow(prev *pool, cfg serving.Config, warmupMs float64) *pool {
-	p := &pool{config: cfg.Clone()}
+	p := &pool{config: cfg.Clone(), queued: &g.totalQueued}
 	for slot, want := range cfg {
 		kept := 0
 		if prev != nil {
@@ -551,15 +547,11 @@ func (g *Gateway) grow(prev *pool, cfg serving.Config, warmupMs float64) *pool {
 			p.instances = append(p.instances, inst)
 		}
 	}
-	p.weights = make([]float64, len(p.instances))
+	types := make([]cloud.InstanceType, len(p.instances))
 	for i, inst := range p.instances {
-		w := 1.0
-		if inst.typ.PricePerHour > 0 {
-			w = 1 / inst.typ.PricePerHour
-		}
-		p.weights[i] = w
-		p.wsum += w
+		types[i] = inst.typ
 	}
+	p.policy = g.dispatch.MustNew(types)
 	return p
 }
 
@@ -665,6 +657,7 @@ func (g *Gateway) admit(arrivalMs float64, batch int, class workload.Criticality
 	r.wait = wait
 	r.id = traceID
 	r.seq, r.sampled = g.traces.Next()
+	r.rng.Seed(g.seed^r.seq, math.Float64bits(arrivalMs))
 	if r.sampled {
 		r.tAdmit = g.nowMs()
 	}
@@ -820,7 +813,8 @@ func (g *Gateway) Drain() {
 }
 
 // Close shuts the gateway down: stops the controller, cancels every worker,
-// and waits for them to exit. In-flight requests get the context error.
+// and waits for them to exit. Queued and in-flight requests get the context
+// error, including those in the shared queue, which no worker owns.
 func (g *Gateway) Close() {
 	if g.feed != nil {
 		g.closeOnce.Do(func() { close(g.feed) })
@@ -834,5 +828,9 @@ func (g *Gateway) Close() {
 	g.instMu.Unlock()
 	for _, inst := range all {
 		<-inst.done
+	}
+	for r := g.takeShared(); r != nil; r = g.takeShared() {
+		g.m.failed.Inc()
+		g.respond(r, Response{Err: g.ctx.Err(), TraceSeq: r.seq, TraceID: r.id})
 	}
 }

@@ -129,9 +129,9 @@ func TestGatewayRejectsWhenSaturated(t *testing.T) {
 			return 0.01, nil
 		}),
 	})
-	// 1 instance, rank queue depth 4: the worker takes one request into its
-	// batch and wedges; 4 more fill the standard lane. Everything after
-	// that must reject.
+	// 1 instance, queue depth 4: the worker takes one request into its
+	// batch and wedges; 4 more fill rank 0 of the shared queue, where fcfs
+	// parks every class. Everything after that must reject.
 	sawReject := false
 	for i := 0; i < 32 && !sawReject; i++ {
 		out := g.IngestAsync(float64(i), 1, workload.ClassStandard)

@@ -2,11 +2,11 @@ package gateway
 
 import (
 	"math"
+	"math/rand/v2"
 	"sync/atomic"
 	"time"
 
 	"ribbon/internal/cloud"
-	"ribbon/internal/dispatch"
 	"ribbon/internal/obs"
 )
 
@@ -21,6 +21,10 @@ type request struct {
 	wait      bool    // a waiter is blocked on done
 	attempts  int     // backend-failure re-queues consumed so far
 	done      chan Response
+	// rng is the random source the dispatch policy draws from for this
+	// request, seeded from the request at admission, so a placement does
+	// not depend on which goroutine routes it.
+	rng rand.PCG
 
 	// Tracing. seq is the ingress ordinal (always assigned when tracing is
 	// on); the span stamps are stream-time and only taken when sampled, so
@@ -52,21 +56,24 @@ type Response struct {
 	TraceID  string
 }
 
-// instance is one live pool member: bounded per-rank queues and a worker
-// goroutine that batches and serves them. The queues are the only handoff —
-// the router never blocks on an instance.
+// instance is one live pool member: a bounded FIFO and a worker goroutine
+// that batches and serves it. The worker serves its own FIFO first, then
+// the gateway's shared queue by rank — the order of dispatch.State.Next —
+// and blocks on its own FIFO only. The queues are the only handoff: the
+// router never blocks on an instance.
 type instance struct {
 	id   int
 	slot int // index into the pool spec's type vector
 	typ  cloud.InstanceType
 	name string // typ.Name(), precomputed: completions must not allocate
 
-	// queues is one bounded FIFO per criticality rank; the worker serves
-	// higher ranks first, which is what gives critical traffic priority
-	// under backlog without any shared lock.
-	queues [dispatch.NumRanks]chan *request
+	// queue is the instance's own FIFO: requests the policy assigned or
+	// enqueued here, and nil wake-ups telling an idle worker to take the
+	// shared queue's head.
+	queue chan *request
 
-	depth    atomic.Int64  // queued, not yet taken by the worker
+	depth    atomic.Int64  // requests on queue, not yet taken by the worker
+	idle     atomic.Bool   // worker waits with no work in hand
 	inflight atomic.Int64  // taken, being served
 	served   atomic.Uint64 // completed on this instance
 	retiring atomic.Bool   // drain-then-retire initiated
@@ -91,13 +98,14 @@ func newInstance(id, slot int, typ cloud.InstanceType, queueDepth int, warmupMs 
 		slot:     slot,
 		typ:      typ,
 		name:     typ.Name(),
+		queue:    make(chan *request, queueDepth),
 		warmupMs: warmupMs,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	for r := range inst.queues {
-		inst.queues[r] = make(chan *request, queueDepth)
-	}
+	// A warm instance takes work at once; a warming one is busy until its
+	// worker finishes the boot charge.
+	inst.idle.Store(warmupMs <= 0)
 	return inst
 }
 
@@ -121,12 +129,17 @@ func (inst *instance) slowdown(nowMs float64) float64 {
 	return f
 }
 
-// load is the queue-depth-plus-inflight figure the routing policies rank by.
-func (inst *instance) load() int64 {
-	return inst.depth.Load() + inst.inflight.Load()
+// load is the instance's backlog as dispatch.View defines it: its own
+// queued requests plus one while it has work in hand.
+func (inst *instance) load() int {
+	l := int(inst.depth.Load())
+	if !inst.idle.Load() {
+		l++
+	}
+	return l
 }
 
-// took settles the queue counters after a request leaves inst's queues, by
+// took settles the queue counters after a request leaves inst's FIFO, by
 // any path (worker take, blocking receive, router rescue).
 func (g *Gateway) took(inst *instance) {
 	inst.depth.Add(-1)
@@ -142,24 +155,40 @@ func (g *Gateway) tookReq(inst *instance, r *request) {
 	}
 }
 
-// take pops the highest-rank queued request from inst without blocking, nil
-// when all queues are empty.
+// take pops inst's oldest queued request without blocking, skipping
+// wake-ups; nil when the FIFO is empty.
 func (g *Gateway) take(inst *instance) *request {
-	for r := dispatch.NumRanks - 1; r >= 0; r-- {
+	for {
 		select {
-		case req := <-inst.queues[r]:
-			g.tookReq(inst, req)
-			return req
+		case r := <-inst.queue:
+			if r == nil {
+				continue
+			}
+			g.tookReq(inst, r)
+			return r
 		default:
+			return nil
 		}
 	}
-	return nil
+}
+
+// next is dispatch.State.Next on the live plane: inst's own FIFO first,
+// then the shared queue by rank. Before it polls the shared queue the
+// worker publishes that it is idle, so an enqueuer that misses it in the
+// poll sees it in its scan (see enqueueShared). A retiring worker drains
+// its own FIFO only: the shared queue belongs to the live pool.
+func (g *Gateway) next(inst *instance) *request {
+	if r := g.take(inst); r != nil || inst.retiring.Load() {
+		return r
+	}
+	inst.idle.Store(true)
+	return g.takeShared()
 }
 
 // worker is the instance's serving loop: collect a batch (bounded by
 // MaxBatch and the flush timeout), hand it to the backend, record the
-// completions, repeat. On retire it drains every queued request before
-// exiting — admitted work is never dropped by a reconfiguration.
+// completions, repeat. On retire it drains every request on its own FIFO
+// before exiting — admitted work is never dropped by a reconfiguration.
 func (g *Gateway) worker(inst *instance) {
 	defer close(inst.done)
 
@@ -176,14 +205,14 @@ func (g *Gateway) worker(inst *instance) {
 	scratch := new(Batch)
 
 	if inst.warmupMs > 0 {
-		if err := sleepFor(g.ctx, g.scaled(inst.warmupMs)); err != nil {
+		if err := sleepFor(g.ctx, g.scaled(inst.warmupMs), g.timeScale); err != nil {
 			g.failDrain(inst)
 			return
 		}
 	}
 
 	for {
-		first := g.take(inst)
+		first := g.next(inst)
 		if first == nil {
 			select {
 			case <-g.ctx.Done():
@@ -192,14 +221,14 @@ func (g *Gateway) worker(inst *instance) {
 			case <-inst.stop:
 				g.retireDrain(inst, batch, scratch)
 				return
-			case first = <-inst.queues[2]:
-				g.tookReq(inst, first)
-			case first = <-inst.queues[1]:
-				g.tookReq(inst, first)
-			case first = <-inst.queues[0]:
+			case first = <-inst.queue:
+				if first == nil {
+					continue // woken to take the shared queue's head
+				}
 				g.tookReq(inst, first)
 			}
 		}
+		inst.idle.Store(false)
 		batch = append(batch[:0], first)
 		stopping := g.collect(inst, &batch, timer)
 		g.serveBatch(inst, batch, scratch)
@@ -210,27 +239,16 @@ func (g *Gateway) worker(inst *instance) {
 	}
 }
 
-// collect fills batch (which already holds one request) up to MaxBatch,
-// waiting at most the flush timeout for stragglers. It reports whether a
-// retire was requested while collecting.
+// collect fills batch (which already holds one request) up to MaxBatch, in
+// next's order, waiting at most the flush timeout for stragglers. It
+// reports whether a retire was requested while collecting.
 func (g *Gateway) collect(inst *instance, batch *[]*request, timer *time.Timer) (stopping bool) {
 	if g.maxBatch <= 1 {
 		return false
 	}
-	// Greedily absorb whatever is already queued.
-	for len(*batch) < g.maxBatch {
-		r := g.take(inst)
-		if r == nil {
-			break
-		}
-		*batch = append(*batch, r)
-	}
-	if len(*batch) >= g.maxBatch || g.batchTimeoutMs <= 0 {
-		return false
-	}
-	timer.Reset(g.scaled(g.batchTimeoutMs))
+	armed := false
 	defer func() {
-		if !timer.Stop() {
+		if armed && !timer.Stop() {
 			select {
 			case <-timer.C:
 			default:
@@ -239,25 +257,33 @@ func (g *Gateway) collect(inst *instance, batch *[]*request, timer *time.Timer) 
 	}()
 	for len(*batch) < g.maxBatch {
 		r := g.take(inst)
+		if r == nil && !inst.retiring.Load() {
+			r = g.takeShared()
+		}
 		if r == nil {
+			if g.batchTimeoutMs <= 0 {
+				return false
+			}
+			if !armed {
+				timer.Reset(g.scaled(g.batchTimeoutMs))
+				armed = true
+			}
 			select {
 			case <-timer.C:
+				armed = false
 				return false
 			case <-g.ctx.Done():
 				return false
 			case <-inst.stop:
 				return true
-			case r = <-inst.queues[2]:
-				g.tookReq(inst, r)
-			case r = <-inst.queues[1]:
-				g.tookReq(inst, r)
-			case r = <-inst.queues[0]:
+			case r = <-inst.queue:
+				if r == nil {
+					continue
+				}
 				g.tookReq(inst, r)
 			}
 		}
-		if r != nil {
-			*batch = append(*batch, r)
-		}
+		*batch = append(*batch, r)
 	}
 	return false
 }
@@ -303,7 +329,7 @@ func (g *Gateway) serveBatch(inst *instance, reqs []*request, b *Batch) {
 	// the extra stream time so stragglers degrade real measured latency,
 	// the same signal the SLO engine and controller react to.
 	if f := inst.slowdown(g.nowMs()); f > 1 && err == nil && svcMs > 0 {
-		if sleepFor(g.ctx, g.scaled(svcMs*(f-1))) == nil {
+		if sleepFor(g.ctx, g.scaled(svcMs*(f-1)), g.timeScale) == nil {
 			svcMs *= f
 		}
 	}
@@ -359,7 +385,7 @@ func (g *Gateway) failRequest(r *request, inst *instance, reqErr error, partial 
 		if r.rank > 0 && r.attempts < requeueLimit {
 			r.attempts++
 			g.m.requeued.Inc()
-			if p := g.pool.Load(); p != nil && g.place(p, r) {
+			if g.place(r) == OutcomeQueued {
 				return
 			}
 			// No queue anywhere: fall through to a loud failure.
@@ -406,8 +432,10 @@ func (g *Gateway) recordServeTrace(r *request, inst *instance, backendStart, bac
 // exited store happens before the drain loop, and the router checks exited
 // after its enqueue — so either the router's send is observed by this drain,
 // or the router sees exited and rescues the request itself. Either way no
-// admitted request is stranded on a retired instance.
+// admitted request is stranded on a retired instance. A wake-up this drain
+// swallowed is passed on to a live idle instance.
 func (g *Gateway) retireDrain(inst *instance, batch []*request, scratch *Batch) {
+	inst.idle.Store(false)
 	inst.exited.Store(true)
 	for {
 		batch = batch[:0]
@@ -419,6 +447,7 @@ func (g *Gateway) retireDrain(inst *instance, batch []*request, scratch *Batch) 
 			batch = append(batch, r)
 		}
 		if len(batch) == 0 {
+			g.wakeIdle()
 			g.m.recordRetire(g.nowMs(), "instance_retired", inst)
 			return
 		}
@@ -426,9 +455,11 @@ func (g *Gateway) retireDrain(inst *instance, batch []*request, scratch *Batch) 
 	}
 }
 
-// failDrain fails out everything still queued when the gateway itself shuts
-// down (context cancelled): respond with the context error, serve nothing.
+// failDrain fails out everything still queued on inst's FIFO when the
+// gateway itself shuts down (context cancelled): respond with the context
+// error, serve nothing. Close fails what the shared queue still holds.
 func (g *Gateway) failDrain(inst *instance) {
+	inst.idle.Store(false)
 	inst.exited.Store(true)
 	err := g.ctx.Err()
 	for {

@@ -20,7 +20,7 @@ import (
 // over c5a/m5/t3, with a 2 s estimator window, 200 ms ticks, and a 1 s dwell.
 // The flood is a seeded 0.5x phase followed by a 1.0x phase — a 2x relative
 // shift — class-mixed critical-heavy (3:1:1) so that under overload even the
-// priority-lane critical tier exceeds the provisioned pool's capacity and
+// top-rank critical tier exceeds the provisioned pool's capacity and
 // visibly degrades until the controller re-provisions.
 const (
 	liveSeed = 7
@@ -43,8 +43,11 @@ func liveOptions(backend Backend, timeScale float64) Options {
 	return Options{
 		Spec:    liveSpec(),
 		Backend: backend,
+		// Criticality gives the critical tier the top rank of the shared
+		// queue, so it recovers on the re-provisioned pool while standard
+		// and sheddable work still waits behind it.
 		Dispatch: dispatch.Spec{
-			Kind: dispatch.KindFCFS,
+			Kind: dispatch.KindCriticality,
 		},
 		Sim:           serving.SimOptions{Seed: 42, Queries: 2000, RateScale: liveBase},
 		Bounds:        []int{8, 8, 8},

@@ -85,7 +85,7 @@ func (m *metrics) init(reg *obs.Registry, policy string, logger *obs.Logger, aud
 	shed := reg.CounterVec("ribbon_gateway_shed_total",
 		"Requests dropped by the shedding policy by tier.", "tier")
 	rejected := reg.CounterVec("ribbon_gateway_rejected_total",
-		"Requests refused at admission (every queue full, or no live pool) by tier.", "tier")
+		"Requests refused at admission (the chosen queue full, or no live pool) by tier.", "tier")
 	qosMet := reg.CounterVec("ribbon_gateway_qos_met_total",
 		"Completions within the model's latency target by tier.", "tier")
 	latency := reg.HistogramVec("ribbon_gateway_request_latency_ms",
@@ -168,7 +168,7 @@ type TierSnapshot struct {
 	Completed uint64 `json:"completed"`
 	// Shed is the number dropped by the shedding policy.
 	Shed uint64 `json:"shed"`
-	// Rejected is the number refused at admission (every queue full).
+	// Rejected is the number refused at admission (the chosen queue full).
 	Rejected uint64 `json:"rejected"`
 	// QoSMet is the number of completions within the model's latency target.
 	QoSMet uint64 `json:"qos_met"`

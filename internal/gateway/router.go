@@ -2,150 +2,90 @@ package gateway
 
 import (
 	"errors"
-	"fmt"
+	"sync/atomic"
 	"time"
 
 	"ribbon/internal/dispatch"
 	"ribbon/internal/serving"
-	"ribbon/internal/stats"
+	"ribbon/internal/workload"
 )
 
 // pool is an immutable snapshot of the live instance set. The router loads
 // it with one atomic pointer read per request; reconfigurations install a
 // new snapshot and retire the instances that fell out of it — the hot path
-// never takes a lock.
+// never takes a lock. It is the dispatch.View the policy decides over.
 type pool struct {
 	// instances is in dispatch preference order: the spec's type order,
 	// then instance age within a type.
 	instances []*instance
-	// weights is each instance's inverse hourly price, for the
-	// cost-random policy; wsum their total.
-	weights []float64
-	wsum    float64
+	// policy is the configured dispatch policy built for this instance
+	// order.
+	policy dispatch.Policy
+	// queued is the gateway's pool-wide queued count.
+	queued *atomic.Int64
 	// config is the instance-count vector this snapshot realizes.
 	config serving.Config
 }
 
-// route admits one request into the data plane: pick an instance under the
-// configured dispatch policy, enqueue it on the request's criticality rank,
-// fall back to any instance with queue space, shed or reject when the policy
-// says so. It is safe for arbitrary concurrent callers.
+func (p *pool) Instances() int   { return len(p.instances) }
+func (p *pool) Busy(i int) bool  { return !p.instances[i].idle.Load() }
+func (p *pool) Load(i int) int   { return p.instances[i].load() }
+func (p *pool) TotalQueued() int { return int(p.queued.Load()) }
+
+// route admits one request into the data plane: the dispatch policy assigns
+// it to an idle instance, parks it in an instance's FIFO or the shared
+// queue, or sheds it; a full queue rejects it. It is safe for arbitrary
+// concurrent callers.
 func (g *Gateway) route(r *request) Outcome {
 	g.m.recordRequest(r.rank)
-	p := g.pool.Load()
-	if p == nil || len(p.instances) == 0 {
+	out := g.place(r)
+	switch out {
+	case OutcomeShed:
+		g.m.recordShed(r.rank)
+	case OutcomeRejected:
 		g.m.recordReject(r.rank)
+	}
+	return out
+}
+
+// place puts r where the policy decides on the live pool, rejecting it when
+// the pool is empty or the chosen queue is full. It records no outcome:
+// admissions and re-placements settle it differently.
+func (g *Gateway) place(r *request) Outcome {
+	p := g.pool.Load()
+	if len(p.instances) == 0 {
 		return OutcomeRejected
 	}
-
-	// The criticality policy sheds Sheddable arrivals under queue pressure
-	// — same rule and same threshold semantics as dispatch.KindCriticality
-	// in the simulator: total queued anywhere in the pool.
-	if g.kind == dispatch.KindCriticality && r.rank == 0 &&
-		g.totalQueued.Load() >= int64(g.shedAt) {
-		g.m.recordShed(r.rank)
+	t0 := time.Now()
+	// tierNames are the workload class names, indexed by rank.
+	d := p.policy.Pick(workload.Criticality(tierNames[r.rank]), p, &r.rng)
+	g.m.pickSeconds.Observe(time.Since(t0).Seconds())
+	switch d.Action {
+	case dispatch.ActShed:
 		return OutcomeShed
+	case dispatch.ActEnqueueShared:
+		if g.enqueueShared(r, d.Rank) {
+			return OutcomeQueued
+		}
+	default:
+		inst := p.instances[d.Instance]
+		if d.Action == dispatch.ActAssign {
+			// Claim the idle instance so the next arrival sees it busy
+			// before its worker wakes.
+			inst.idle.Store(false)
+		}
+		if g.enqueue(inst, r) {
+			return OutcomeQueued
+		}
 	}
-
-	if g.place(p, r) {
-		return OutcomeQueued
-	}
-	g.m.recordReject(r.rank)
 	return OutcomeRejected
 }
 
-// place puts r on the policy-preferred instance, falling back to the first
-// instance with queue space in preference order. False when every queue is
-// full.
-func (g *Gateway) place(p *pool, r *request) bool {
-	t0 := time.Now()
-	inst := g.pick(p)
-	g.m.pickSeconds.Observe(time.Since(t0).Seconds())
-	if inst != nil && g.enqueue(inst, r) {
-		return true
-	}
-	for _, cand := range p.instances {
-		if cand == inst {
-			continue
-		}
-		if g.enqueue(cand, r) {
-			return true
-		}
-	}
-	return false
-}
-
-// pick chooses the policy-preferred instance from the snapshot. A nil return
-// means the policy abstained and route's fallback scan decides. Every policy
-// but cost-random places by join-shortest-queue: for fcfs and criticality
-// the first idle instance in preference order is also the least-loaded one,
-// and under full load the live plane has no shared queue to park in, unlike
-// the simulator.
-func (g *Gateway) pick(p *pool) *instance {
-	if g.kind == dispatch.KindCostRandom {
-		if inst := g.pickCostRandom(p); inst != nil {
-			return inst
-		}
-	}
-	return pickLeastLoaded(p)
-}
-
-// pickLeastLoaded is join-shortest-queue over depth+inflight, preference
-// order breaking ties. The first idle instance wins outright, so an idle
-// pool costs one load read.
-func pickLeastLoaded(p *pool) *instance {
-	var best *instance
-	bestLoad := int64(0)
-	for _, inst := range p.instances {
-		l := inst.load()
-		if l == 0 {
-			return inst
-		}
-		if best == nil || l < bestLoad {
-			best, bestLoad = inst, l
-		}
-	}
-	return best
-}
-
-// pickCostRandom draws among idle instances with probability proportional to
-// inverse price; nil when nothing is idle.
-func (g *Gateway) pickCostRandom(p *pool) *instance {
-	idle := 0.0
-	for i, inst := range p.instances {
-		if inst.load() == 0 {
-			idle += p.weights[i]
-		}
-	}
-	if idle == 0 {
-		return nil
-	}
-	rng := g.rng()
-	x := rng.Float64() * idle
-	g.rngs.Put(rng)
-	for i, inst := range p.instances {
-		if inst.load() != 0 {
-			continue
-		}
-		x -= p.weights[i]
-		if x <= 0 {
-			return inst
-		}
-	}
-	// Floating-point slack: last idle instance.
-	for i := len(p.instances) - 1; i >= 0; i-- {
-		if p.instances[i].load() == 0 {
-			return p.instances[i]
-		}
-	}
-	return nil
-}
-
-// enqueue places r on inst's rank queue, reporting false when the queue is
-// full. After a successful send it re-checks the retire barrier: if the
-// worker already passed its final drain, this goroutine rescues the request
-// (and anything else stranded) back through the router — see retireDrain for
-// why the two-sided check is race-free.
+// enqueue places r on inst's own FIFO, reporting false when it is full.
+// After a successful send it re-checks the retire barrier: if the worker
+// already passed its final drain, this goroutine rescues the request (and
+// anything else stranded) back through the router — see retireDrain for why
+// the two-sided check is race-free.
 func (g *Gateway) enqueue(inst *instance, r *request) bool {
 	// The queue span opens before the channel send: once r is on the queue a
 	// worker may own it, so its fields cannot be written afterwards.
@@ -155,7 +95,7 @@ func (g *Gateway) enqueue(inst *instance, r *request) bool {
 	inst.depth.Add(1)
 	g.totalQueued.Add(1)
 	select {
-	case inst.queues[r.rank] <- r:
+	case inst.queue <- r:
 	default:
 		g.took(inst) // undo: queue full
 		return false
@@ -166,33 +106,90 @@ func (g *Gateway) enqueue(inst *instance, r *request) bool {
 	return true
 }
 
+// enqueueShared parks r in the pool-wide queue at rank, reporting false
+// when that rank is full, then wakes an idle instance to take the queue's
+// head. Workers block on their own FIFO only and poll the shared queue
+// between batches, so the handoff closes the race with a two-sided check:
+// the enqueuer publishes sharedLen before it scans for an idle instance, a
+// worker publishes idle before it polls. Either the scan sees the worker
+// idle, or the worker's poll sees the request.
+func (g *Gateway) enqueueShared(r *request, rank int) bool {
+	if r.sampled {
+		r.tAdmitted = g.nowMs()
+	}
+	g.totalQueued.Add(1)
+	select {
+	case g.shared[rank] <- r:
+	default:
+		g.totalQueued.Add(-1)
+		return false
+	}
+	g.sharedLen.Add(1)
+	g.wakeIdle()
+	return true
+}
+
+// wakeIdle claims the first idle live instance in preference order and
+// wakes it with a nil request on its FIFO; the worker then takes the shared
+// queue's head itself, by rank. A claim on an instance whose worker already
+// exited does not count: the scan goes on.
+func (g *Gateway) wakeIdle() {
+	if g.sharedLen.Load() <= 0 {
+		return
+	}
+	for _, inst := range g.pool.Load().instances {
+		if !inst.idle.Load() || !inst.idle.CompareAndSwap(true, false) {
+			continue
+		}
+		select {
+		case inst.queue <- nil:
+		default: // a full FIFO wakes the worker anyway
+		}
+		if !inst.exited.Load() {
+			return
+		}
+	}
+}
+
+// takeShared pops the highest-rank queued request from the shared queue
+// without blocking, nil when it is empty.
+func (g *Gateway) takeShared() *request {
+	if g.sharedLen.Load() <= 0 {
+		return nil
+	}
+	for rank := dispatch.NumRanks - 1; rank >= 0; rank-- {
+		select {
+		case r := <-g.shared[rank]:
+			g.sharedLen.Add(-1)
+			g.totalQueued.Add(-1)
+			if r.sampled {
+				r.tTaken = g.nowMs()
+			}
+			return r
+		default:
+		}
+	}
+	return nil
+}
+
 // errRescueFailed reports a request displaced by a reconfiguration that
 // could not be re-placed anywhere on the new pool.
 var errRescueFailed = errors.New("gateway: request displaced by reconfiguration could not be re-placed")
 
-// rescue drains a retired instance's queues and re-places every stranded
-// request on the live pool. These requests were already admitted, so the
-// shed/reject admission logic does not re-run; a request that cannot be
-// re-placed fails loudly rather than disappearing.
+// rescue drains a retired instance's FIFO and re-places every stranded
+// request on the live pool. These requests were already admitted: one the
+// policy would shed, or that finds no queue space, fails loudly rather than
+// disappearing.
 func (g *Gateway) rescue(inst *instance) {
 	for {
 		r := g.take(inst)
 		if r == nil {
 			return
 		}
-		if p := g.pool.Load(); p != nil && g.place(p, r) {
+		if g.place(r) == OutcomeQueued {
 			continue
 		}
 		g.m.failed.Inc()
 		g.respond(r, Response{Err: errRescueFailed, TraceSeq: r.seq, TraceID: r.id})
 	}
-}
-
-// rng leases a router RNG, deriving a fresh independent stream on first use.
-func (g *Gateway) rng() *stats.RNG {
-	if r, _ := g.rngs.Get().(*stats.RNG); r != nil {
-		return r
-	}
-	n := g.nextRNG.Add(1)
-	return stats.Derive(g.seed, "gateway", "router", fmt.Sprintf("%d", n))
 }

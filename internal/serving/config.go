@@ -1,7 +1,8 @@
 // Package serving simulates a heterogeneous pool of cloud instances serving
-// an inference query stream: every arrival is routed by a pluggable dispatch
-// policy (internal/dispatch — the default reproduces the paper's
-// first-come-first-serve preference-order rule of Sec. 5.1 bit for bit),
+// an inference query stream: every arrival is routed by a dispatch policy
+// (internal/dispatch, which the live gateway runs too — the default
+// reproduces the paper's first-come-first-serve preference-order rule of
+// Sec. 5.1 bit for bit),
 // each query's latency is queueing wait plus modeled service time, and a
 // configuration's quality is its QoS satisfaction rate Rsat (fraction of
 // queries within the model's tail-latency target) together with its $/hour

@@ -337,8 +337,8 @@ func (e *SimEvaluator) getScratch(n int) *evalScratch {
 //
 // Every arrival is routed by the configured dispatch policy: it is assigned
 // to an idle instance, parked in the shared queue or an instance's own
-// queue, or shed. When an instance finishes, the policy picks its next query
-// from the queues. The default policy is the paper's rule (Sec. 5.1): first
+// queue, or shed. When an instance finishes it takes its next query with
+// dispatch.State.Next: its own queue first, then the shared queue by rank. The default policy is the paper's rule (Sec. 5.1): first
 // idle instance in pool type order, one shared FIFO queue drained by
 // whichever instance finishes first.
 //
@@ -384,9 +384,9 @@ func (e *SimEvaluator) Evaluate(cfg Config) Result {
 	// policies never perturb the service-time noise.
 	key := deploymentKey(spec, cfg)
 	noise := stats.Derive(e.opts.Seed, "serving", "noise", spec.Model.Name, key)
-	pol := dispatch.Instrument(e.opts.Dispatch.MustNew(types,
-		stats.Derive(e.opts.Seed, "dispatch", e.opts.Dispatch.Name(), spec.Model.Name, key)),
-		e.opts.Observer)
+	name := e.opts.Dispatch.Name()
+	pol := dispatch.Instrument(e.opts.Dispatch.MustNew(types), name, e.opts.Observer)
+	rng := stats.Derive(e.opts.Seed, "dispatch", name, spec.Model.Name, key)
 	pool := sc.state
 	pool.Reset(types)
 
@@ -448,7 +448,7 @@ func (e *SimEvaluator) Evaluate(cfg Config) Result {
 				return
 			}
 			pool.SetBusy(i, false)
-			if next, ok := pol.Next(i, pool); ok {
+			if next, ok := pool.Next(i); ok {
 				assign(i, next)
 			}
 			return
@@ -507,11 +507,11 @@ func (e *SimEvaluator) Evaluate(cfg Config) Result {
 			if at := queries[idx].ArrivalMs; heap.Len() == 0 || at <= heap.MinTime() {
 				arr++
 				now = at
-				d := pol.Pick(idx, queries[idx], pool)
+				d := pol.Pick(queries[idx].Class, pool, rng)
 				switch d.Action {
 				case dispatch.ActAssign:
 					if pool.Busy(d.Instance) {
-						panic(fmt.Sprintf("serving: policy %q assigned busy instance %d", pol.Name(), d.Instance))
+						panic(fmt.Sprintf("serving: policy %q assigned busy instance %d", name, d.Instance))
 					}
 					assign(d.Instance, idx)
 				case dispatch.ActShed:
@@ -537,7 +537,7 @@ func (e *SimEvaluator) Evaluate(cfg Config) Result {
 						maxQueue = l
 					}
 				default:
-					panic(fmt.Sprintf("serving: policy %q returned unknown action %d", pol.Name(), d.Action))
+					panic(fmt.Sprintf("serving: policy %q returned unknown action %d", name, d.Action))
 				}
 				continue
 			}
@@ -562,7 +562,7 @@ func (e *SimEvaluator) Evaluate(cfg Config) Result {
 		now = c.Time
 		latencies[idx] = now - queries[idx].ArrivalMs
 		pool.SetBusy(inst, false)
-		if next, ok := pol.Next(inst, pool); ok {
+		if next, ok := pool.Next(inst); ok {
 			assign(inst, next)
 		}
 	}
