@@ -762,7 +762,7 @@ type InferResponse struct {
 	// answer 503/overloaded instead).
 	Outcome string `json:"outcome"`
 	// LatencyMs is stream time from (scheduled) arrival to completion;
-	// ServiceMs the modeled service time of the batch the request rode in.
+	// ServiceMs the service time of the backend call that served it.
 	LatencyMs float64 `json:"latency_ms"`
 	ServiceMs float64 `json:"service_ms"`
 	// Instance names the instance type that served the request.
@@ -777,7 +777,7 @@ type InferResponse struct {
 }
 
 // TraceSpan is one timed stage of a traced request, in stream-time
-// milliseconds: admit, queue, batch-fuse, backend, respond.
+// milliseconds: admit, queue, backend, respond.
 type TraceSpan struct {
 	Name    string  `json:"name"`
 	StartMs float64 `json:"start_ms"`
@@ -860,9 +860,6 @@ type GatewayMetrics struct {
 	Failed    uint64 `json:"failed"`
 	// FeedDropped counts arrival samples dropped on the controller feed.
 	FeedDropped uint64 `json:"feed_dropped,omitempty"`
-	// Batches and BatchedRequests describe batching efficacy.
-	Batches         uint64 `json:"batches"`
-	BatchedRequests uint64 `json:"batched_requests"`
 	// QueueDepth and Inflight are pool-wide load at snapshot time.
 	QueueDepth int64 `json:"queue_depth"`
 	Inflight   int64 `json:"inflight"`

@@ -49,45 +49,44 @@ import (
 )
 
 func main() {
+	var f gatewayFlags
+	flag.StringVar(&f.model, "model", "CANDLE", "served model (see ribbon-explore -list)")
+	flag.StringVar(&f.types, "types", "c5a,m5,t3", "instance type families, preference order")
+	flag.Float64Var(&f.qos, "qos", 0.99, "QoS satisfaction percentile")
+	flag.StringVar(&f.policy, "policy", "fcfs", "dispatch policy: fcfs, least-loaded, cost-random, criticality")
+	flag.IntVar(&f.shedQueue, "shed-queue", 0, "criticality policy shed threshold (0: default)")
+	flag.StringVar(&f.initial, "initial", "", "initial pool configuration, e.g. 2+2+2 (empty: cold search)")
+	flag.IntVar(&f.budget, "budget", 40, "cold-search evaluation budget")
+	flag.Float64Var(&f.rateScale, "rate-scale", 1, "provisioned load scale relative to the model's base rate")
+	flag.IntVar(&f.queries, "queries", 4000, "simulated queries per controller evaluation")
+	flag.Uint64Var(&f.seed, "seed", 42, "deterministic seed for searches and routing")
+	flag.BoolVar(&f.controller, "controller", false, "enable live adaptation from measured arrivals")
+	flag.Float64Var(&f.windowMs, "window-ms", 0, "controller estimator window (0: default 10000)")
+	flag.Float64Var(&f.tickMs, "tick-ms", 0, "controller detector tick (0: default 1000)")
+	flag.Float64Var(&f.dwellMs, "dwell-ms", 0, "controller dwell before confirming a shift (0: default 4000)")
+	flag.Float64Var(&f.threshold, "threshold", 0, "controller relative deviation threshold (0: default 0.25)")
+	flag.IntVar(&f.adaptBudget, "adapt-budget", 0, "controller re-search budget (0: default 16)")
+	flag.Float64Var(&f.timeScale, "time-scale", 1, "stream-to-wall time compression for the simulated backend")
+	flag.IntVar(&f.queueDepth, "queue-depth", 0, "bound of each instance FIFO and each shared-queue rank (0: default 64)")
+	flag.Float64Var(&f.warmupMs, "warmup-ms", 0, "warm-up charge for instances added by a reconfiguration, stream ms")
+	flag.StringVar(&f.proxyTarget, "proxy-target", "", "forward requests to this endpoint instead of simulating")
+	flag.Float64Var(&f.chaosStorm, "chaos-storm", 0, "inject a seeded capacity storm: multiplier on catalog spot revocation rates (0: disabled)")
+	flag.Float64Var(&f.chaosFailures, "chaos-failures", 0, "storm hard-failure rate per family per hour")
+	flag.Float64Var(&f.chaosPriceStepMs, "chaos-price-step-ms", 0, "storm spot-price walk step, stream ms (0: no price events)")
+	flag.Float64Var(&f.chaosWarningMs, "chaos-warning-ms", 0, "storm revocation notice window, stream ms (0: the two-minute default)")
+	flag.Float64Var(&f.chaosRestoreMs, "chaos-restore-ms", 0, "respawn storm-lost capacity this many ms after it leaves (0: stays lost)")
+	flag.Float64Var(&f.chaosHorizonMs, "chaos-horizon-ms", 600000, "stream-time extent of the generated storm")
+	flag.Uint64Var(&f.chaosSeed, "chaos-seed", 0, "storm seed (0: the -seed value)")
+	flag.BoolVar(&f.useSpot, "use-spot", false, "price controller decisions and the spend meter at spot-market rates")
+	flag.BoolVar(&f.slo, "slo", false, "track per-tier burn-rate SLOs and serve GET /v1/gateway/slo")
+	flag.Float64Var(&f.sloSampleMs, "slo-sample-ms", 0, "SLO sampling interval, stream ms (0: default 500)")
+	flag.BoolVar(&f.sloTrigger, "slo-trigger", false, "page-severity alerts trigger a controller re-search (needs -controller)")
+	flag.IntVar(&f.traceSampleEvery, "trace-sample", 0, "sample one request trace in every N (0: default 16)")
 	var (
-		addr        = flag.String("addr", ":8081", "listen address")
-		model       = flag.String("model", "CANDLE", "served model (see ribbon-explore -list)")
-		types       = flag.String("types", "c5a,m5,t3", "instance type families, preference order")
-		qos         = flag.Float64("qos", 0.99, "QoS satisfaction percentile")
-		policy      = flag.String("policy", "fcfs", "dispatch policy: fcfs, least-loaded, cost-random, criticality")
-		shedQueue   = flag.Int("shed-queue", 0, "criticality policy shed threshold (0: default)")
-		initial     = flag.String("initial", "", "initial pool configuration, e.g. 2+2+2 (empty: cold search)")
-		budget      = flag.Int("budget", 40, "cold-search evaluation budget")
-		rateScale   = flag.Float64("rate-scale", 1, "provisioned load scale relative to the model's base rate")
-		queries     = flag.Int("queries", 4000, "simulated queries per controller evaluation")
-		seed        = flag.Uint64("seed", 42, "deterministic seed for searches and routing")
-		ctrl        = flag.Bool("controller", false, "enable live adaptation from measured arrivals")
-		windowMs    = flag.Float64("window-ms", 0, "controller estimator window (0: default 10000)")
-		tickMs      = flag.Float64("tick-ms", 0, "controller detector tick (0: default 1000)")
-		dwellMs     = flag.Float64("dwell-ms", 0, "controller dwell before confirming a shift (0: default 4000)")
-		threshold   = flag.Float64("threshold", 0, "controller relative deviation threshold (0: default 0.25)")
-		adaptBudget = flag.Int("adapt-budget", 0, "controller re-search budget (0: default 16)")
-		timeScale   = flag.Float64("time-scale", 1, "stream-to-wall time compression for the simulated backend")
-		queueDepth  = flag.Int("queue-depth", 0, "bound of each instance FIFO and each shared-queue rank (0: default 64)")
-		maxBatch    = flag.Int("max-batch", 0, "max requests fused per backend call (0: no batching)")
-		batchWaitMs = flag.Float64("batch-timeout-ms", 0, "flush timeout for a partial batch, stream ms (0: default 2)")
-		warmupMs    = flag.Float64("warmup-ms", 0, "warm-up charge for instances added by a reconfiguration, stream ms")
-		proxyTarget = flag.String("proxy-target", "", "forward requests to this endpoint instead of simulating")
-		chaosStorm  = flag.Float64("chaos-storm", 0, "inject a seeded capacity storm: multiplier on catalog spot revocation rates (0: disabled)")
-		chaosFails  = flag.Float64("chaos-failures", 0, "storm hard-failure rate per family per hour")
-		chaosPrice  = flag.Float64("chaos-price-step-ms", 0, "storm spot-price walk step, stream ms (0: no price events)")
-		chaosWarn   = flag.Float64("chaos-warning-ms", 0, "storm revocation notice window, stream ms (0: the two-minute default)")
-		chaosRegrow = flag.Float64("chaos-restore-ms", 0, "respawn storm-lost capacity this many ms after it leaves (0: stays lost)")
-		chaosSpanMs = flag.Float64("chaos-horizon-ms", 600000, "stream-time extent of the generated storm")
-		chaosSeed   = flag.Uint64("chaos-seed", 0, "storm seed (0: the -seed value)")
-		useSpot     = flag.Bool("use-spot", false, "price controller decisions and the spend meter at spot-market rates")
-		sloOn       = flag.Bool("slo", false, "track per-tier burn-rate SLOs and serve GET /v1/gateway/slo")
-		sloSampleMs = flag.Float64("slo-sample-ms", 0, "SLO sampling interval, stream ms (0: default 500)")
-		sloTrigger  = flag.Bool("slo-trigger", false, "page-severity alerts trigger a controller re-search (needs -controller)")
-		logLevel    = flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
-		logFormat   = flag.String("log-format", "text", "log encoding: text (key=value) or json")
-		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this extra address (empty: disabled)")
-		sampleEvery = flag.Int("trace-sample", 0, "sample one request trace in every N (0: default 16)")
+		addr      = flag.String("addr", ":8081", "listen address")
+		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
+		logFormat = flag.String("log-format", "text", "log encoding: text (key=value) or json")
+		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this extra address (empty: disabled)")
 	)
 	flag.Parse()
 
@@ -109,21 +108,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opts, err := buildOptions(gatewayFlags{
-		model: *model, types: *types, qos: *qos,
-		policy: *policy, shedQueue: *shedQueue,
-		initial: *initial, budget: *budget, rateScale: *rateScale, queries: *queries, seed: *seed,
-		controller: *ctrl, windowMs: *windowMs, tickMs: *tickMs, dwellMs: *dwellMs,
-		threshold: *threshold, adaptBudget: *adaptBudget,
-		timeScale: *timeScale, queueDepth: *queueDepth,
-		maxBatch: *maxBatch, batchTimeoutMs: *batchWaitMs, warmupMs: *warmupMs,
-		proxyTarget: *proxyTarget,
-		chaosStorm:  *chaosStorm, chaosFailures: *chaosFails, chaosPriceStepMs: *chaosPrice,
-		chaosWarningMs: *chaosWarn, chaosRestoreMs: *chaosRegrow, chaosHorizonMs: *chaosSpanMs,
-		chaosSeed: *chaosSeed, useSpot: *useSpot,
-		slo: *sloOn, sloSampleMs: *sloSampleMs, sloTrigger: *sloTrigger,
-		logger: logger, traceSampleEvery: *sampleEvery,
-	})
+	f.logger = logger
+	opts, err := buildOptions(f)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ribbon-gateway: %v\n", err)
 		os.Exit(2)
@@ -134,8 +120,8 @@ func main() {
 	}
 }
 
-// gatewayFlags is the parsed command line, decoupled from package flag so the
-// entrypoint is testable.
+// gatewayFlags is the command line buildOptions reads: main binds each flag
+// to its field, and tests fill the struct directly.
 type gatewayFlags struct {
 	model, types     string
 	qos              float64
@@ -154,8 +140,6 @@ type gatewayFlags struct {
 	adaptBudget      int
 	timeScale        float64
 	queueDepth       int
-	maxBatch         int
-	batchTimeoutMs   float64
 	warmupMs         float64
 	proxyTarget      string
 	chaosStorm       float64
@@ -216,8 +200,6 @@ func buildOptions(f gatewayFlags) (gateway.Options, error) {
 		Seed:             f.seed,
 		TimeScale:        f.timeScale,
 		QueueDepth:       f.queueDepth,
-		MaxBatch:         f.maxBatch,
-		BatchTimeoutMs:   f.batchTimeoutMs,
 		WarmupMs:         f.warmupMs,
 		Logger:           f.logger,
 		TraceSampleEvery: f.traceSampleEvery,

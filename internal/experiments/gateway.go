@@ -109,7 +109,7 @@ type GatewayReport struct {
 // for the base load, stand up a real gateway (simulated backend, criticality
 // dispatch), and drive seeded open-loop floods at 1x/2x/4x the provisioned
 // load through the actual ingest path — instance FIFOs, the shared priority
-// queue, shedding, batching, metrics. Reported per overload: sustained req/s against
+// queue, shedding, metrics. Reported per overload: sustained req/s against
 // offered, and per-tier p50/p99 with the shed/reject split. The invariant on
 // display: under any overload only the Sheddable tier is ever shed.
 func GatewayFlood(s Setup, o GatewayOptions) (Table, GatewayReport) {

@@ -17,8 +17,9 @@ import (
 	"ribbon/internal/stats"
 )
 
-// Batch is one fused unit of backend work: the requests an instance worker
-// collected before the max-batch-size or flush-timeout bound fired.
+// Batch is one unit of backend work: the requests one Serve call executes.
+// The gateway's instance workers send one admitted request per call, as the
+// simulator serves one query at a time.
 type Batch struct {
 	// Requests is the number of fused queries; Samples their summed batch
 	// sizes (the quantity the performance model prices).
@@ -51,7 +52,7 @@ type Backend interface {
 // SimBackend serves batches by sleeping out the calibrated service time of
 // the instance type under the model profile (internal/perf, the same latency
 // model the offline simulator uses), scaled into wall time by TimeScale. It
-// makes the whole serving loop — gateway, batching, live adaptation —
+// makes the whole serving loop — gateway, dispatch, live adaptation —
 // testable and benchmarkable on a laptop with no GPUs attached.
 type SimBackend struct {
 	// Model is the served model profile.
@@ -143,7 +144,7 @@ func sleepFor(ctx context.Context, d time.Duration, scale float64) error {
 // request in the batch becomes one POST to Target (concurrently — fusing a
 // batch into a single endpoint call is model-specific and out of scope for a
 // transport), and the measured wall time divided by TimeScale is reported as
-// the service time. Use it to put the gateway's routing, batching, and
+// the service time. Use it to put the gateway's routing, queueing, and
 // shedding in front of an actual serving endpoint.
 //
 // Failure semantics are per request, not per batch: each forwarded request

@@ -275,10 +275,11 @@ func TestProxyBackendContextCancellation(t *testing.T) {
 	}
 }
 
-// --- Partial-batch tiering inside the data plane ---
+// --- Per-request failure tiering inside the data plane ---
 
-// flakyOnce fails each batch's requests exactly once (per-request Errs), then
-// serves cleanly — the transient-blip shape the re-queue path exists for.
+// flakyOnce fails each call's requests (per-request Errs) until budget calls
+// have failed, then serves cleanly — the transient-blip shape the re-queue
+// path exists for.
 func flakyOnce(failures *atomic.Int64, budget int64) backendFunc {
 	return func(ctx context.Context, _ cloud.InstanceType, b *Batch) (float64, error) {
 		if failures.Add(1) <= budget {

@@ -73,8 +73,8 @@ type Options struct {
 	// Spec is the served pool: model, instance types in preference order,
 	// QoS percentile. Required.
 	Spec serving.PoolSpec
-	// Backend executes batches. Required; NewSimBackend for a simulated
-	// plane, ProxyBackend for a real endpoint.
+	// Backend serves each admitted request as one call. Required;
+	// NewSimBackend for a simulated plane, ProxyBackend for a real endpoint.
 	Backend Backend
 	// Dispatch selects the routing policy by the same spec the simulator
 	// uses; the live plane runs the simulator's Pick on every arrival.
@@ -122,24 +122,11 @@ type Options struct {
 	// QueueDepth bounds each instance's FIFO and each rank of the shared
 	// queue; 64 when zero. A full queue rejects the arrival.
 	QueueDepth int
-	// MaxBatch fuses up to this many queued requests into one backend
-	// call; 1 (no batching — simulator parity) when zero.
-	MaxBatch int
-	// BatchTimeoutMs is the flush timeout in stream milliseconds: a
-	// partially filled batch waits at most this long for stragglers;
-	// 2 when zero. Only meaningful with MaxBatch > 1.
-	BatchTimeoutMs float64
 	// WarmupMs charges each instance added by a reconfiguration this much
 	// stream time before it serves (boot + model load); 0 when zero.
 	// Instances of the initial pool start warm.
 	WarmupMs float64
-	// FeedDepth buffers the controller arrival feed; 65536 when zero.
-	// Overflow is dropped (counted, never blocking the data plane).
-	FeedDepth int
 
-	// Registry receives the gateway's metric families (served at
-	// GET /metrics). A private registry is created when nil.
-	Registry *obs.Registry
 	// Logger, when non-nil, mirrors the audit events of the data plane and
 	// of its controller as structured log lines. The data-plane hot path
 	// never logs.
@@ -149,8 +136,6 @@ type Options struct {
 	TraceCapacity int
 	// TraceSampleEvery samples one request trace in every N; 16 when zero.
 	TraceSampleEvery int
-	// AuditCapacity bounds the retained audit events; 512 when zero.
-	AuditCapacity int
 	// SLO, when non-nil, runs a burn-rate SLO engine over the gateway's
 	// per-tier counters, sampled in stream time on the admit path. Alert
 	// transitions land on the audit trail (and the structured log); with
@@ -172,11 +157,9 @@ type Gateway struct {
 	qosMs    float64
 	seed     uint64
 
-	timeScale      float64
-	queueDepth     int
-	maxBatch       int
-	batchTimeoutMs float64
-	warmupMs       float64
+	timeScale  float64
+	queueDepth int
+	warmupMs   float64
 
 	// poolMu serializes pool mutations (controller reconfigurations and
 	// chaos injections); the routing hot path still reads the snapshot with
@@ -261,45 +244,22 @@ func New(ctx context.Context, opts Options) (*Gateway, error) {
 	if queueDepth < 1 {
 		return nil, errors.New("gateway: queue depth must be positive")
 	}
-	maxBatch := opts.MaxBatch
-	if maxBatch == 0 {
-		maxBatch = 1
-	}
-	if maxBatch < 1 {
-		return nil, errors.New("gateway: max batch must be positive")
-	}
-	batchTimeout := opts.BatchTimeoutMs
-	if batchTimeout == 0 {
-		batchTimeout = 2
-	}
-	if batchTimeout < 0 {
-		return nil, errors.New("gateway: negative batch timeout")
-	}
 	if opts.WarmupMs < 0 {
 		return nil, errors.New("gateway: negative warm-up")
-	}
-	feedDepth := opts.FeedDepth
-	if feedDepth == 0 {
-		feedDepth = 65536
-	}
-	if feedDepth < 1 {
-		return nil, errors.New("gateway: feed depth must be positive")
 	}
 
 	gctx, cancel := context.WithCancel(ctx)
 	g := &Gateway{
-		ctx:            gctx,
-		cancel:         cancel,
-		spec:           opts.Spec,
-		backend:        opts.Backend,
-		dispatch:       opts.Dispatch,
-		qosMs:          opts.Spec.Model.QoSLatencyMs,
-		seed:           opts.Seed,
-		timeScale:      timeScale,
-		queueDepth:     queueDepth,
-		maxBatch:       maxBatch,
-		batchTimeoutMs: batchTimeout,
-		warmupMs:       opts.WarmupMs,
+		ctx:        gctx,
+		cancel:     cancel,
+		spec:       opts.Spec,
+		backend:    opts.Backend,
+		dispatch:   opts.Dispatch,
+		qosMs:      opts.Spec.Model.QoSLatencyMs,
+		seed:       opts.Seed,
+		timeScale:  timeScale,
+		queueDepth: queueDepth,
+		warmupMs:   opts.WarmupMs,
 	}
 	for rank := range g.shared {
 		g.shared[rank] = make(chan *request, queueDepth)
@@ -319,19 +279,11 @@ func New(ctx context.Context, opts Options) (*Gateway, error) {
 	}
 	g.chaosNextBits.Store(math.Float64bits(next))
 
-	reg := opts.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	auditCap := opts.AuditCapacity
-	if auditCap == 0 {
-		auditCap = 512
-	}
-	g.m.init(reg, opts.Dispatch.Name(), opts.Logger, auditCap)
+	g.m.init(opts.Dispatch.Name(), opts.Logger)
 	if opts.TraceCapacity >= 0 {
 		g.traces = obs.NewTraceRing(opts.TraceCapacity, opts.TraceSampleEvery)
 	}
-	g.registerGauges(reg)
+	g.registerGauges(g.m.reg)
 	if opts.SLO != nil {
 		if err := g.initSLO(opts.SLO); err != nil {
 			cancel()
@@ -478,6 +430,11 @@ func (g *Gateway) registerGauges(reg *obs.Registry) {
 			return c
 		})
 }
+
+// feedDepth bounds the controller's arrival feed. It absorbs the arrivals
+// that land while the control goroutine runs a re-search; overflow is
+// dropped and counted in feed_dropped, never blocking the data plane.
+const feedDepth = 65536
 
 // runController drives the control loop off the live feed and applies its
 // decisions to the live pool.
@@ -733,15 +690,13 @@ func (g *Gateway) IngestWithID(ctx context.Context, arrivalMs float64, batch int
 // same registry children GET /metrics exposes.
 func (g *Gateway) Metrics() Snapshot {
 	s := Snapshot{
-		Accepted:        g.m.accepted.Value(),
-		Failed:          g.m.failed.Value(),
-		Requeued:        g.m.requeued.Value(),
-		FeedDropped:     g.m.feedDropped.Value(),
-		Batches:         g.m.batches.Value(),
-		BatchedRequests: g.m.batchedReqs.Value(),
-		QueueDepth:      g.totalQueued.Load(),
-		Tiers:           g.m.snapshotTiers(),
-		Events:          g.m.trail.Events(),
+		Accepted:    g.m.accepted.Value(),
+		Failed:      g.m.failed.Value(),
+		Requeued:    g.m.requeued.Value(),
+		FeedDropped: g.m.feedDropped.Value(),
+		QueueDepth:  g.totalQueued.Load(),
+		Tiers:       g.m.snapshotTiers(),
+		Events:      g.m.trail.Events(),
 	}
 	for _, t := range s.Tiers {
 		s.Completed += t.Completed

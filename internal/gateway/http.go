@@ -131,19 +131,17 @@ func (g *Gateway) handleSLO(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) MetricsDTO() api.GatewayMetrics {
 	s := g.Metrics()
 	out := api.GatewayMetrics{
-		Model:           g.spec.Model.Name,
-		Policy:          g.dispatch.Name(),
-		Config:          g.Config(),
-		Accepted:        s.Accepted,
-		Completed:       s.Completed,
-		Shed:            s.Shed,
-		Rejected:        s.Rejected,
-		Failed:          s.Failed,
-		FeedDropped:     s.FeedDropped,
-		Batches:         s.Batches,
-		BatchedRequests: s.BatchedRequests,
-		QueueDepth:      s.QueueDepth,
-		Inflight:        s.Inflight,
+		Model:       g.spec.Model.Name,
+		Policy:      g.dispatch.Name(),
+		Config:      g.Config(),
+		Accepted:    s.Accepted,
+		Completed:   s.Completed,
+		Shed:        s.Shed,
+		Rejected:    s.Rejected,
+		Failed:      s.Failed,
+		FeedDropped: s.FeedDropped,
+		QueueDepth:  s.QueueDepth,
+		Inflight:    s.Inflight,
 	}
 	for r := dispatch.NumRanks - 1; r >= 0; r-- { // critical first
 		t := s.Tiers[r]

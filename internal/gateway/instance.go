@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"sync/atomic"
-	"time"
 
 	"ribbon/internal/cloud"
 	"ribbon/internal/obs"
@@ -34,13 +33,12 @@ type request struct {
 	sampled   bool
 	tAdmit    float64 // admit span start (ingress)
 	tAdmitted float64 // enqueued: admit ends, queue span starts
-	tTaken    float64 // worker pulled it off the queue
 }
 
 // response is the completion record delivered to a waiting caller.
 type Response struct {
 	// LatencyMs is stream time from scheduled arrival to completion;
-	// ServiceMs the modeled service time of the batch it rode in.
+	// ServiceMs the service time of the backend call that served it.
 	LatencyMs float64
 	ServiceMs float64
 	// Instance names the serving instance type.
@@ -57,10 +55,10 @@ type Response struct {
 }
 
 // instance is one live pool member: a bounded FIFO and a worker goroutine
-// that batches and serves it. The worker serves its own FIFO first, then
-// the gateway's shared queue by rank — the order of dispatch.State.Next —
-// and blocks on its own FIFO only. The queues are the only handoff: the
-// router never blocks on an instance.
+// that serves it one request per backend call. The worker serves its own
+// FIFO first, then the gateway's shared queue by rank — the order of
+// dispatch.State.Next — and blocks on its own FIFO only. The queues are the
+// only handoff: the router never blocks on an instance.
 type instance struct {
 	id   int
 	slot int // index into the pool spec's type vector
@@ -146,15 +144,6 @@ func (g *Gateway) took(inst *instance) {
 	g.totalQueued.Add(-1)
 }
 
-// tookReq settles the counters for a request received by a blocking select
-// and stamps its queue-exit time when it is being traced.
-func (g *Gateway) tookReq(inst *instance, r *request) {
-	g.took(inst)
-	if r.sampled {
-		r.tTaken = g.nowMs()
-	}
-}
-
 // take pops inst's oldest queued request without blocking, skipping
 // wake-ups; nil when the FIFO is empty.
 func (g *Gateway) take(inst *instance) *request {
@@ -164,7 +153,7 @@ func (g *Gateway) take(inst *instance) *request {
 			if r == nil {
 				continue
 			}
-			g.tookReq(inst, r)
+			g.took(inst)
 			return r
 		default:
 			return nil
@@ -185,24 +174,17 @@ func (g *Gateway) next(inst *instance) *request {
 	return g.takeShared()
 }
 
-// worker is the instance's serving loop: collect a batch (bounded by
-// MaxBatch and the flush timeout), hand it to the backend, record the
-// completions, repeat. On retire it drains every request on its own FIFO
-// before exiting — admitted work is never dropped by a reconfiguration.
+// worker is the instance's serving loop: take the next request, serve it
+// as one backend call, record the completion, repeat. On retire it drains
+// every request on its own FIFO before exiting — admitted work is never
+// dropped by a reconfiguration.
 func (g *Gateway) worker(inst *instance) {
 	defer close(inst.done)
 
-	// One reusable flush timer per worker; Reset/Stop with explicit drain
-	// keeps the batch-collection loop allocation-free.
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	batch := make([]*request, 0, g.maxBatch)
 	// One reusable Batch per worker: it crosses the Backend interface by
 	// pointer, so a stack-local would escape and cost an allocation per
-	// served batch.
-	scratch := new(Batch)
+	// served request.
+	b := new(Batch)
 
 	if inst.warmupMs > 0 {
 		if err := sleepFor(g.ctx, g.scaled(inst.warmupMs), g.timeScale); err != nil {
@@ -212,118 +194,43 @@ func (g *Gateway) worker(inst *instance) {
 	}
 
 	for {
-		first := g.next(inst)
-		if first == nil {
+		r := g.next(inst)
+		if r == nil {
 			select {
 			case <-g.ctx.Done():
 				g.failDrain(inst)
 				return
 			case <-inst.stop:
-				g.retireDrain(inst, batch, scratch)
+				g.retireDrain(inst, b)
 				return
-			case first = <-inst.queue:
-				if first == nil {
+			case r = <-inst.queue:
+				if r == nil {
 					continue // woken to take the shared queue's head
 				}
-				g.tookReq(inst, first)
+				g.took(inst)
 			}
 		}
 		inst.idle.Store(false)
-		batch = append(batch[:0], first)
-		stopping := g.collect(inst, &batch, timer)
-		g.serveBatch(inst, batch, scratch)
-		if stopping {
-			g.retireDrain(inst, batch, scratch)
-			return
-		}
+		g.serve(inst, r, b)
 	}
 }
 
-// collect fills batch (which already holds one request) up to MaxBatch, in
-// next's order, waiting at most the flush timeout for stragglers. It
-// reports whether a retire was requested while collecting.
-func (g *Gateway) collect(inst *instance, batch *[]*request, timer *time.Timer) (stopping bool) {
-	if g.maxBatch <= 1 {
-		return false
-	}
-	armed := false
-	defer func() {
-		if armed && !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}()
-	for len(*batch) < g.maxBatch {
-		r := g.take(inst)
-		if r == nil && !inst.retiring.Load() {
-			r = g.takeShared()
-		}
-		if r == nil {
-			if g.batchTimeoutMs <= 0 {
-				return false
-			}
-			if !armed {
-				timer.Reset(g.scaled(g.batchTimeoutMs))
-				armed = true
-			}
-			select {
-			case <-timer.C:
-				armed = false
-				return false
-			case <-g.ctx.Done():
-				return false
-			case <-inst.stop:
-				return true
-			case r = <-inst.queue:
-				if r == nil {
-					continue
-				}
-				g.tookReq(inst, r)
-			}
-		}
-		*batch = append(*batch, r)
-	}
-	return false
-}
-
-// serveBatch executes one collected batch on the backend and records every
-// completion. The Batch value and payload slice live on the worker stack —
-// nothing escapes on the payload-free path.
-func (g *Gateway) serveBatch(inst *instance, reqs []*request, b *Batch) {
-	n := len(reqs)
-	if n == 0 {
-		return
-	}
-	samples := 0
-	withPayload := false
-	anySampled := false
-	for _, r := range reqs {
-		samples += r.batch
-		if r.payload != nil {
-			withPayload = true
-		}
-		if r.sampled {
-			anySampled = true
-		}
-	}
-	*b = Batch{Requests: n, Samples: samples}
-	if withPayload {
-		payloads := make([][]byte, n)
-		for i, r := range reqs {
-			payloads[i] = r.payload
-		}
-		b.Payloads = payloads
+// serve executes one request as one backend call, as the simulator serves
+// one query at a time, and records its completion. b is the worker's
+// reusable Batch: nothing escapes on the payload-free path.
+func (g *Gateway) serve(inst *instance, r *request, b *Batch) {
+	*b = Batch{Requests: 1, Samples: r.batch}
+	if r.payload != nil {
+		b.Payloads = [][]byte{r.payload}
 	}
 
-	// backendStart closes the batch-fuse span and opens the backend span for
-	// every traced request riding in this batch.
+	// backendStart closes the queue span and opens the backend span of a
+	// traced request.
 	backendStart := 0.0
-	if anySampled {
+	if r.sampled {
 		backendStart = g.nowMs()
 	}
-	inst.inflight.Add(int64(n))
+	inst.inflight.Add(1)
 	svcMs, err := g.backend.Serve(g.ctx, inst.typ, b)
 	// A chaos slowdown stretches this instance's service time: sleep out
 	// the extra stream time so stragglers degrade real measured latency,
@@ -333,55 +240,50 @@ func (g *Gateway) serveBatch(inst *instance, reqs []*request, b *Batch) {
 			svcMs *= f
 		}
 	}
-	inst.inflight.Add(-int64(n))
+	inst.inflight.Add(-1)
 	now := g.nowMs()
 
-	g.m.batches.Inc()
-	g.m.batchedReqs.Add(uint64(n))
-	g.m.batchSize.Observe(float64(n))
-	for i, r := range reqs {
-		reqErr := err
-		if reqErr == nil && b.Errs != nil {
-			reqErr = b.Errs[i]
-		}
-		if reqErr != nil {
-			g.failRequest(r, inst, reqErr, err == nil, backendStart, now)
-			continue
-		}
-		lat := now - r.arrivalMs
-		g.m.completeOK(r.rank, lat, lat <= g.qosMs)
-		inst.served.Add(1)
-		var body []byte
-		if b.Bodies != nil {
-			body = b.Bodies[i]
-		}
-		if r.sampled {
-			g.recordServeTrace(r, inst, backendStart, now, lat, "served")
-		}
-		g.respond(r, Response{
-			LatencyMs: lat,
-			ServiceMs: svcMs,
-			Instance:  inst.name,
-			Body:      body,
-			TraceSeq:  r.seq,
-			TraceID:   r.id,
-		})
+	reqErr := err
+	if reqErr == nil && b.Errs != nil {
+		reqErr = b.Errs[0]
 	}
+	if reqErr != nil {
+		g.failRequest(r, inst, reqErr, err == nil, backendStart, now)
+		return
+	}
+	lat := now - r.arrivalMs
+	g.m.completeOK(r.rank, lat, lat <= g.qosMs)
+	inst.served.Add(1)
+	var body []byte
+	if b.Bodies != nil {
+		body = b.Bodies[0]
+	}
+	if r.sampled {
+		g.recordServeTrace(r, inst, backendStart, now, lat, "served")
+	}
+	g.respond(r, Response{
+		LatencyMs: lat,
+		ServiceMs: svcMs,
+		Instance:  inst.name,
+		Body:      body,
+		TraceSeq:  r.seq,
+		TraceID:   r.id,
+	})
 }
 
 // requeueLimit caps how many times one request may be re-placed after a
-// partial-batch backend failure before it fails loudly.
+// per-request backend failure before it fails loudly.
 const requeueLimit = 2
 
-// failRequest settles one request whose batch (or whose slot in a partially
-// failed batch) errored. Partial failures get tiered second chances:
+// failRequest settles one request whose backend call errored. Per-request
+// failures (reported through Batch.Errs) get tiered second chances:
 // Critical and Standard requests re-queue onto the live pool (bounded by
 // requeueLimit), Sheddable ones are shed — explicit outcomes either way, a
-// failed batch never just vanishes. Whole-batch failures (backend-level
-// error, typically shutdown) fail immediately: retrying against a cancelled
-// context only spins.
-func (g *Gateway) failRequest(r *request, inst *instance, reqErr error, partial bool, backendStart, now float64) {
-	if partial && g.ctx.Err() == nil {
+// failed request never just vanishes. Call-level failures (the error Serve
+// returns, typically shutdown) fail immediately: retrying against a
+// cancelled context only spins.
+func (g *Gateway) failRequest(r *request, inst *instance, reqErr error, perRequest bool, backendStart, now float64) {
+	if perRequest && g.ctx.Err() == nil {
 		if r.rank > 0 && r.attempts < requeueLimit {
 			r.attempts++
 			g.m.requeued.Inc()
@@ -420,8 +322,7 @@ func (g *Gateway) recordServeTrace(r *request, inst *instance, backendStart, bac
 		t.LatencyMs = latMs
 		t.Spans = append(t.Spans,
 			obs.Span{Name: "admit", StartMs: r.tAdmit, EndMs: r.tAdmitted},
-			obs.Span{Name: "queue", StartMs: r.tAdmitted, EndMs: r.tTaken},
-			obs.Span{Name: "batch-fuse", StartMs: r.tTaken, EndMs: backendStart},
+			obs.Span{Name: "queue", StartMs: r.tAdmitted, EndMs: backendStart},
 			obs.Span{Name: "backend", StartMs: backendStart, EndMs: backendEnd},
 			obs.Span{Name: "respond", StartMs: backendEnd, EndMs: end},
 		)
@@ -434,25 +335,14 @@ func (g *Gateway) recordServeTrace(r *request, inst *instance, backendStart, bac
 // or the router sees exited and rescues the request itself. Either way no
 // admitted request is stranded on a retired instance. A wake-up this drain
 // swallowed is passed on to a live idle instance.
-func (g *Gateway) retireDrain(inst *instance, batch []*request, scratch *Batch) {
+func (g *Gateway) retireDrain(inst *instance, b *Batch) {
 	inst.idle.Store(false)
 	inst.exited.Store(true)
-	for {
-		batch = batch[:0]
-		for len(batch) < g.maxBatch {
-			r := g.take(inst)
-			if r == nil {
-				break
-			}
-			batch = append(batch, r)
-		}
-		if len(batch) == 0 {
-			g.wakeIdle()
-			g.m.recordRetire(g.nowMs(), "instance_retired", inst)
-			return
-		}
-		g.serveBatch(inst, batch, scratch)
+	for r := g.take(inst); r != nil; r = g.take(inst) {
+		g.serve(inst, r, b)
 	}
+	g.wakeIdle()
+	g.m.recordRetire(g.nowMs(), "instance_retired", inst)
 }
 
 // failDrain fails out everything still queued on inst's FIFO when the

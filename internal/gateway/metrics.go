@@ -33,10 +33,6 @@ var latencyBuckets = func() []float64 {
 	return out
 }()
 
-// batchSizeBuckets covers fused batch sizes up to the largest MaxBatch the
-// flood drivers use.
-var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
-
 // tierMetrics holds one criticality tier's pre-resolved registry children.
 // Resolving the labeled series once at construction keeps the hot path at a
 // single atomic op per event — no map lookups, no locks.
@@ -58,9 +54,6 @@ type metrics struct {
 	failed        *obs.Counter
 	requeued      *obs.Counter
 	feedDropped   *obs.Counter
-	batches       *obs.Counter
-	batchedReqs   *obs.Counter
-	batchSize     *obs.Histogram
 	pickSeconds   *obs.Histogram
 	reconfApplied *obs.Counter
 	reconfKept    *obs.Counter
@@ -72,11 +65,15 @@ type metrics struct {
 	trail *obs.Trail
 }
 
-// init registers the gateway's metric families on reg and resolves every
-// labeled child the hot path will touch.
-func (m *metrics) init(reg *obs.Registry, policy string, logger *obs.Logger, auditCap int) {
+// auditCapacity bounds the data plane's retained audit events.
+const auditCapacity = 512
+
+// init registers the gateway's metric families on a private registry and
+// resolves every labeled child the hot path will touch.
+func (m *metrics) init(policy string, logger *obs.Logger) {
+	reg := obs.NewRegistry()
 	m.reg = reg
-	m.trail = obs.NewTrail(auditCap, logger)
+	m.trail = obs.NewTrail(auditCapacity, logger)
 
 	requests := reg.CounterVec("ribbon_gateway_requests_total",
 		"Requests offered to the data plane by criticality tier (served + shed + rejected + in flight).", "tier")
@@ -107,15 +104,9 @@ func (m *metrics) init(reg *obs.Registry, policy string, logger *obs.Logger, aud
 	m.failed = reg.Counter("ribbon_gateway_failed_total",
 		"Requests that failed (backend error, shutdown, or displaced without a home).")
 	m.requeued = reg.Counter("ribbon_gateway_requeued_total",
-		"Requests re-placed on the pool after a partial-batch backend failure.")
+		"Requests re-placed on the pool after a per-request backend failure.")
 	m.feedDropped = reg.Counter("ribbon_gateway_feed_dropped_total",
 		"Arrival samples dropped on a full controller feed.")
-	m.batches = reg.Counter("ribbon_gateway_batches_total",
-		"Batches handed to the backend.")
-	m.batchedReqs = reg.Counter("ribbon_gateway_batched_requests_total",
-		"Requests carried inside those batches.")
-	m.batchSize = reg.Histogram("ribbon_gateway_batch_size",
-		"Fused batch size at backend hand-off.", batchSizeBuckets)
 	m.pickSeconds = reg.HistogramVec("ribbon_gateway_pick_seconds",
 		"Dispatch-policy instance selection latency, wall seconds.",
 		obs.ExpBuckets(1e-7, 4, 10), "policy").With(policy)
@@ -201,7 +192,7 @@ type Snapshot struct {
 	Shed      uint64 `json:"shed"`
 	Rejected  uint64 `json:"rejected"`
 	Failed    uint64 `json:"failed"`
-	// Requeued counts requests re-placed on the pool after a partial-batch
+	// Requeued counts requests re-placed on the pool after a per-request
 	// backend failure (they complete or fail later, under a bounded number
 	// of re-queues).
 	Requeued uint64 `json:"requeued"`
@@ -209,10 +200,6 @@ type Snapshot struct {
 	// because the channel was full; nonzero drops void replay determinism
 	// but never block serving.
 	FeedDropped uint64 `json:"feed_dropped"`
-	// Batches and BatchedRequests describe batching efficacy: mean fused
-	// batch size is BatchedRequests/Batches.
-	Batches         uint64 `json:"batches"`
-	BatchedRequests uint64 `json:"batched_requests"`
 	// QueueDepth is the total number of requests queued across the live
 	// pool at snapshot time; Inflight the number being served.
 	QueueDepth int64 `json:"queue_depth"`

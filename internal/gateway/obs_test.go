@@ -73,8 +73,6 @@ func TestGatewayPrometheusEndpoint(t *testing.T) {
 	}
 	for _, name := range []string{
 		"ribbon_gateway_accepted_total",
-		"ribbon_gateway_batches_total",
-		"ribbon_gateway_batch_size_count",
 		"ribbon_gateway_queue_depth",
 		"ribbon_gateway_pool_instances",
 		"ribbon_gateway_pool_cost_per_hour",
@@ -104,7 +102,7 @@ func TestGatewayTraceSpansMonotone(t *testing.T) {
 	if len(traces) != 10 {
 		t.Fatalf("want 10 traces, got %d", len(traces))
 	}
-	wantSpans := []string{"admit", "queue", "batch-fuse", "backend", "respond"}
+	wantSpans := []string{"admit", "queue", "backend", "respond"}
 	checked := 0
 	for _, tr := range traces {
 		if tr.Outcome != "served" {

@@ -109,7 +109,7 @@ func (g *Gateway) enqueue(inst *instance, r *request) bool {
 // enqueueShared parks r in the pool-wide queue at rank, reporting false
 // when that rank is full, then wakes an idle instance to take the queue's
 // head. Workers block on their own FIFO only and poll the shared queue
-// between batches, so the handoff closes the race with a two-sided check:
+// between requests, so the handoff closes the race with a two-sided check:
 // the enqueuer publishes sharedLen before it scans for an idle instance, a
 // worker publishes idle before it polls. Either the scan sees the worker
 // idle, or the worker's poll sees the request.
@@ -162,9 +162,6 @@ func (g *Gateway) takeShared() *request {
 		case r := <-g.shared[rank]:
 			g.sharedLen.Add(-1)
 			g.totalQueued.Add(-1)
-			if r.sampled {
-				r.tTaken = g.nowMs()
-			}
 			return r
 		default:
 		}

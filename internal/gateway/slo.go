@@ -17,46 +17,28 @@ import (
 // configured). With Trigger set, firing page alerts are forwarded to the
 // controller's ObserveSLO, arming the "slo" capacity trigger that answers
 // degradation invisible to pool-membership accounting (stragglers,
-// overload).
+// overload). The QoS-attainment and latency objectives are the spec's
+// QoSPercentile; the not-shed objective is 0.9.
 type SLOOptions struct {
 	// SampleEveryMs is the stream-time sampling interval; 500 when 0.
 	SampleEveryMs float64
-	// Target is the QoS-attainment and latency objective in (0,1); the
-	// spec's QoSPercentile when 0.
-	Target float64
-	// ShedTarget is the not-shed objective in (0,1); 0.9 when 0.
-	ShedTarget float64
 	// Rules are the burn-rate alert rules shared by every objective;
 	// slo.DefaultRules(60_000) when nil.
 	Rules []slo.Rule
 	// MinEvents is the per-window request floor before a rule may fire;
 	// 20 when 0, negative disables the guard.
 	MinEvents float64
-	// Capacity bounds each indicator's sample ring; the engine default
-	// when 0.
-	Capacity int
 	// Trigger forwards firing page alerts to the controller as the "slo"
 	// capacity trigger. Requires Controller; ignored on a static pool.
 	Trigger bool
 }
 
+// shedTarget is every tier's not-shed objective.
+const shedTarget = 0.9
+
 // initSLO builds the engine over the gateway's per-tier counters. Called
 // once from New, before any traffic.
 func (g *Gateway) initSLO(o *SLOOptions) error {
-	target := o.Target
-	if target == 0 {
-		target = g.spec.QoSPercentile
-	}
-	if !(target > 0 && target < 1) {
-		return fmt.Errorf("gateway: slo target %g out of (0,1)", target)
-	}
-	shedTarget := o.ShedTarget
-	if shedTarget == 0 {
-		shedTarget = 0.9
-	}
-	if !(shedTarget > 0 && shedTarget < 1) {
-		return fmt.Errorf("gateway: slo shed target %g out of (0,1)", shedTarget)
-	}
 	if o.SampleEveryMs < 0 {
 		return fmt.Errorf("gateway: negative slo sample interval")
 	}
@@ -73,7 +55,6 @@ func (g *Gateway) initSLO(o *SLOOptions) error {
 		minEvents = 20
 	}
 	eng, err := slo.New(slo.Config{
-		Capacity:  o.Capacity,
 		MinEvents: minEvents,
 		Rules:     rules,
 		Trail:     g.m.trail,
@@ -96,7 +77,7 @@ func (g *Gateway) initSLO(o *SLOOptions) error {
 			Name:   "qos_attainment/" + tier,
 			Tier:   tier,
 			Kind:   "qos_attainment",
-			Target: target,
+			Target: g.spec.QoSPercentile,
 			Sample: func() (float64, float64) {
 				return float64(t.qosMet.Value()),
 					float64(t.completed.Value() + t.shed.Value() + t.rejected.Value())
@@ -109,7 +90,7 @@ func (g *Gateway) initSLO(o *SLOOptions) error {
 			Name:   "latency/" + tier,
 			Tier:   tier,
 			Kind:   "latency",
-			Target: target,
+			Target: g.spec.QoSPercentile,
 			Sample: func() (float64, float64) {
 				return float64(t.qosMet.Value()), float64(t.completed.Value())
 			},

@@ -98,8 +98,6 @@ func TestGatewaySLODisabled(t *testing.T) {
 
 func TestGatewaySLOOptionValidation(t *testing.T) {
 	bad := []Options{
-		{SLO: &SLOOptions{Target: 1.5}},
-		{SLO: &SLOOptions{ShedTarget: -0.2}},
 		{SLO: &SLOOptions{SampleEveryMs: -1}},
 		{SLO: &SLOOptions{Rules: []slo.Rule{{Severity: slo.SeverityPage, Burn: -1, LongMs: 2, ShortMs: 1}}}},
 	}

@@ -35,16 +35,21 @@ import (
 )
 
 // virtualBackend sleeps out the calibrated service time like SimBackend, but
-// draws each batch's noise from a stream keyed on its first query's stream
-// index, carried as the payload. A pooled noise stream would hand out draws
-// in goroutine-schedule order; keyed draws make a replay a function of the
-// stream alone.
+// draws each call's noise from a stream keyed on its query's stream index,
+// carried as the payload. A pooled noise stream would hand out draws in
+// goroutine-schedule order; keyed draws make a replay a function of the
+// stream alone. Like the simulator it serves one query per call, and it
+// panics on a call that carries anything else.
 type virtualBackend struct {
 	model models.Profile
 	seed  uint64
 }
 
 func (b virtualBackend) Serve(ctx context.Context, t cloud.InstanceType, batch *Batch) (float64, error) {
+	if batch.Requests != 1 || len(batch.Payloads) != 1 {
+		panic(fmt.Sprintf("virtualBackend: a call carries %d requests and %d payloads, want 1 and 1",
+			batch.Requests, len(batch.Payloads)))
+	}
 	idx := binary.LittleEndian.Uint32(batch.Payloads[0])
 	rng := stats.Derive(b.seed, "virtual", strconv.FormatUint(uint64(idx), 10))
 	ms := perf.NoisyServiceMs(b.model, t, batch.Samples, rng)

@@ -326,11 +326,20 @@ func (s *Stream) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// ReadJSON deserializes a stream and validates its invariants.
+// ReadJSON deserializes one stream strictly and validates its invariants.
+// An unknown key is an error, so a misspelled "queries" does not read as an
+// empty stream, and so is any data after the stream.
 func ReadJSON(r io.Reader) (*Stream, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	var s Stream
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("workload: decoding stream: %w", err)
+	}
+	// Token reports io.EOF only when nothing but whitespace follows; More
+	// alone would let a stray closing '}' or ']' through.
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, errors.New("workload: trailing data after stream")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"ribbon/internal/models"
@@ -341,12 +342,54 @@ func TestReadJSONRejectsInvalid(t *testing.T) {
 		`{"model":"X","queries":[{"id":0,"arrival_ms":5,"batch":1},{"id":1,"arrival_ms":4,"batch":1}]}`,
 		`{"model":"X","queries":[{"id":0,"arrival_ms":5,"batch":1,"class":"vip"}]}`,
 		`not json`,
+		`{"model":"X","queries":[{"id":0,"arrival_ms":5,"batch":1}]}garbage`,
+		`{"model":"X","querys":[{"id":0,"arrival_ms":5,"batch":1}]}`,
 	}
 	for _, c := range cases {
 		if _, err := ReadJSON(bytes.NewBufferString(c)); err == nil {
 			t.Errorf("accepted invalid stream %q", c)
 		}
 	}
+}
+
+// FuzzReadJSON: ReadJSON never panics, every stream it accepts passes
+// Validate, and an accepted stream survives WriteJSON → ReadJSON unchanged.
+func FuzzReadJSON(f *testing.F) {
+	var gen bytes.Buffer
+	st := Generate(models.MustLookup("MT-WND"), Options{Queries: 5, Seed: 3,
+		Mix: ClassMix{Critical: 1, Standard: 2, Sheddable: 1}})
+	if err := st.WriteJSON(&gen); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		gen.String(),
+		`{"model":"X","queries":[{"id":0,"arrival_ms":1,"batch":2},{"id":1,"arrival_ms":3,"batch":1}]}`,
+		`{"model":"X","queries":[]}`,
+		`{"model":"X","queries":[{"id":0,"arrival_ms":5,"batch":1}]}garbage`,
+		`{"model":"X","querys":[{"id":0,"arrival_ms":5,"batch":1}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := st.Validate(); err != nil {
+			t.Fatalf("accepted stream fails Validate: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := st.WriteJSON(&buf); err != nil {
+			t.Fatalf("write accepted stream: %v", err)
+		}
+		back, err := ReadJSON(&buf)
+		if err != nil {
+			t.Fatalf("re-read %s: %v", buf.Bytes(), err)
+		}
+		if !reflect.DeepEqual(st, back) {
+			t.Fatalf("round trip changed the stream:\n in %#v\nout %#v", st, back)
+		}
+	})
 }
 
 func TestStreamDurationAndMeanEmpty(t *testing.T) {
